@@ -1,29 +1,20 @@
-// Before/after harness for the tiled all-pairs join scheduler
-// (docs/memory.md), emitted as machine-readable JSON (BENCH_join.json).
+// Harness for the tiled all-pairs join scheduler (docs/memory.md), emitted
+// as machine-readable JSON (BENCH_join.json).
 //
-// "Old" is the pre-scheduler configuration reproduced through the engine's
-// own knobs: mutex-guarded artefact caches in the pair loop
-// (set_use_artifact_table(false)), fresh heap vectors for sweep scratch
-// (set_use_arena(false)) and the historic lexicographic pair order
-// (set_tile_size(1)). "New" is the library as shipped: one immutable
-// artifact table built by a parallel precompute pass, thread-local scratch
-// arenas, and cache-blocking tiles.
-//
-// Four sections:
-//   join_batch      engine-level all-pairs joins over many short series
+// Two sections:
+//   tile_sweep      engine-level all-pairs joins over many short series
 //                   (the overhead-dominated regime candidate generation
-//                   lives in), old vs new at 1 and 8 threads
-//   candidate_gen   end-to-end GenerateCandidates, old vs new options
-//   tile_sweep      new path at 8 threads across explicit tile widths
+//                   lives in) at 8 threads across explicit tile widths
 //   allocations     heap allocations inside a warm JoinAllPairsInto batch,
 //                   counted by a global operator-new override; the
 //                   per-pair figure differences two batch sizes so
 //                   per-batch constants (spans, pool dispatch) cancel
 //
-// Every timed comparison is guarded by an FNV-1a checksum over the exact
-// output bit patterns; the binary exits 1 on any old-vs-new mismatch (the
-// scheduler is scheduling/memory reuse only -- bitwise identity is the
-// contract, see tests/join_scheduler_test.cc for the strict assertions).
+// Every timed configuration is guarded by an FNV-1a checksum over the exact
+// output bit patterns against the serial AbJoinProfile kernel in both
+// directions; the binary exits 1 on any mismatch (the scheduler is
+// scheduling/memory reuse only -- bitwise identity is the contract, see
+// tests/join_scheduler_test.cc for the strict assertions).
 //
 // Usage: bench_join [--json=PATH]   (default ./BENCH_join.json)
 
@@ -36,12 +27,11 @@
 #include <bit>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "bench/bench_common.h"
 #include "core/rng.h"
-#include "ips/candidate_gen.h"
-#include "ips/config.h"
+#include "matrix_profile/matrix_profile.h"
 #include "matrix_profile/mp_engine.h"
 #include "obs/export.h"
 #include "util/parallel.h"
@@ -114,26 +104,11 @@ uint64_t ChecksumJoins(const std::vector<PairJoin>& joins) {
   return h;
 }
 
-uint64_t ChecksumPool(const CandidatePool& pool) {
-  uint64_t h = kFnvOffset;
-  for (const auto* side : {&pool.motifs, &pool.discords}) {
-    for (const auto& [label, subs] : *side) {
-      FnvMix(h, static_cast<uint64_t>(label));
-      for (const Subsequence& s : subs) {
-        FnvMix(h, static_cast<uint64_t>(s.series_index));
-        FnvMix(h, s.start);
-        for (double v : s.values) FnvMix(h, std::bit_cast<uint64_t>(v));
-      }
-    }
-  }
-  return h;
-}
-
 // ------------------------------------------------------------ workloads
 
 // Many short series: the all-pairs regime candidate generation runs in,
 // where per-pair overhead (locks, mallocs, cold artefacts) is a large
-// share of the sweep cost. 96 series -> 4560 unordered pairs.
+// share of the sweep cost. 256 series -> 32640 unordered pairs.
 std::vector<std::vector<double>> MakeBatch(size_t count, size_t len,
                                            uint64_t seed) {
   Rng rng(seed);
@@ -154,12 +129,6 @@ std::vector<std::span<const double>> ViewsOf(
   return {series.begin(), series.end()};
 }
 
-void ConfigureOld(MatrixProfileEngine& engine) {
-  engine.set_use_artifact_table(false);
-  engine.set_use_arena(false);
-  engine.set_tile_size(1);
-}
-
 double BestOfS(const std::function<void()>& fn, int trials) {
   double best = 1e300;
   for (int t = 0; t < trials; ++t) {
@@ -170,94 +139,35 @@ double BestOfS(const std::function<void()>& fn, int trials) {
   return best;
 }
 
-struct Comparison {
-  std::string name;
-  size_t threads = 0;
-  double old_s = 0.0;
-  double new_s = 0.0;
-  bool checksum_equal = false;
-  double Speedup() const { return new_s > 0.0 ? old_s / new_s : 0.0; }
-};
-
-// Engine-level batch: every trial starts from a cold engine (ClearCaches),
-// matching candidate generation's fresh-engine-per-task lifecycle, so the
-// old side pays its cache fills under the pair-loop mutexes exactly as the
-// historic code did.
-Comparison BenchJoinBatch(const std::vector<std::span<const double>>& views,
-                          size_t window, size_t threads, int trials) {
-  Comparison c;
-  c.name = "join_batch";
-  c.threads = threads;
-
-  std::vector<PairJoin> joins_old, joins_new;
-  {
-    MatrixProfileEngine engine(threads);
-    ConfigureOld(engine);
-    // Untimed warmup: page in code and data, fault in the output capacity,
-    // so the first timed trial is not systematically colder than the rest.
-    engine.JoinAllPairsInto(views, window, joins_old);
-    c.old_s = BestOfS(
-        [&] {
-          engine.ClearCaches();
-          engine.JoinAllPairsInto(views, window, joins_old);
-        },
-        trials);
+// The serial kernels' joins of every unordered pair, in JoinAllPairs order.
+std::vector<PairJoin> ReferenceJoins(
+    const std::vector<std::span<const double>>& views, size_t window) {
+  std::vector<PairJoin> joins;
+  for (size_t i = 0; i < views.size(); ++i) {
+    for (size_t j = i + 1; j < views.size(); ++j) {
+      PairJoin pj;
+      pj.a = i;
+      pj.b = j;
+      pj.a_vs_b = AbJoinProfile(views[i], views[j], window);
+      pj.b_vs_a = AbJoinProfile(views[j], views[i], window);
+      joins.push_back(std::move(pj));
+    }
   }
-  {
-    MatrixProfileEngine engine(threads);
-    engine.JoinAllPairsInto(views, window, joins_new);
-    c.new_s = BestOfS(
-        [&] {
-          engine.ClearCaches();
-          engine.JoinAllPairsInto(views, window, joins_new);
-        },
-        trials);
-  }
-  c.checksum_equal = ChecksumJoins(joins_old) == ChecksumJoins(joins_new);
-  return c;
-}
-
-Comparison BenchCandidateGen(const TrainTestSplit& data, size_t threads,
-                             int trials) {
-  Comparison c;
-  c.name = "candidate_gen";
-  c.threads = threads;
-
-  IpsOptions options;
-  options.sample_count = 8;
-  options.sample_size = 10;
-  options.num_threads = threads;
-
-  IpsOptions old_options = options;
-  old_options.enable_mp_artifact_table = false;
-  old_options.enable_mp_arena = false;
-  old_options.mp_tile_size = 1;
-
-  uint64_t sum_old = 0, sum_new = 0;
-  auto run_old = [&] {
-    Rng rng(options.seed);
-    sum_old = ChecksumPool(GenerateCandidates(data.train, old_options, rng));
-  };
-  auto run_new = [&] {
-    Rng rng(options.seed);
-    sum_new = ChecksumPool(GenerateCandidates(data.train, options, rng));
-  };
-  run_old();  // untimed warmup, see BenchJoinBatch
-  c.old_s = BestOfS(run_old, trials);
-  run_new();
-  c.new_s = BestOfS(run_new, trials);
-  c.checksum_equal = sum_old == sum_new;
-  return c;
+  return joins;
 }
 
 struct TilePoint {
   size_t tile = 0;
   double seconds = 0.0;
+  bool checksum_equal = false;
 };
 
+// Every trial starts from a cold engine (ClearCaches), matching candidate
+// generation's fresh-engine-per-task lifecycle, so each batch pays its
+// artifact-table build.
 std::vector<TilePoint> BenchTileSweep(
     const std::vector<std::span<const double>>& views, size_t window,
-    size_t threads, int trials) {
+    size_t threads, int trials, uint64_t reference) {
   std::vector<TilePoint> points;
   std::vector<PairJoin> joins;
   for (size_t tile : {size_t{1}, size_t{2}, size_t{4}, size_t{8}, size_t{16},
@@ -266,12 +176,16 @@ std::vector<TilePoint> BenchTileSweep(
     engine.set_tile_size(tile);
     TilePoint p;
     p.tile = tile;
+    // Untimed warmup: page in code and data, fault in the output capacity,
+    // so the first timed trial is not systematically colder than the rest.
+    engine.JoinAllPairsInto(views, window, joins);
     p.seconds = BestOfS(
         [&] {
           engine.ClearCaches();
           engine.JoinAllPairsInto(views, window, joins);
         },
         trials);
+    p.checksum_equal = ChecksumJoins(joins) == reference;
     points.push_back(p);
   }
   return points;
@@ -295,40 +209,25 @@ size_t WarmBatchAllocs(MatrixProfileEngine& engine,
 
 int Main(int argc, char** argv) {
   std::string json_path = "BENCH_join.json";
-  BenchArgs args;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
-    if (arg.rfind("--ucr_dir=", 0) == 0) args.ucr_dir = arg.substr(10);
   }
 
   const size_t window = 8;
   const auto series = MakeBatch(/*count=*/256, /*len=*/20, /*seed=*/7);
   const auto views = ViewsOf(series);
 
-  std::printf("%-14s %7s %10s %10s %9s %s\n", "section", "threads", "old_s",
-              "new_s", "speedup", "ok");
-  std::vector<Comparison> comparisons;
-  for (size_t threads : {size_t{1}, size_t{8}}) {
-    comparisons.push_back(BenchJoinBatch(views, window, threads, 3));
-  }
-  const TrainTestSplit data = GetDataset("ItalyPowerDemand", args);
-  for (size_t threads : {size_t{1}, size_t{8}}) {
-    comparisons.push_back(BenchCandidateGen(data, threads, 2));
-  }
-  for (const Comparison& c : comparisons) {
-    std::printf("%-14s %7zu %9.4fs %9.4fs %8.2fx %s\n", c.name.c_str(),
-                c.threads, c.old_s, c.new_s, c.Speedup(),
-                c.checksum_equal ? "ok" : "CHECKSUM MISMATCH");
-  }
-
-  const std::vector<TilePoint> tiles = BenchTileSweep(views, window, 8, 3);
-  std::printf("\ntile sweep (8 threads, 256 series x 20):\n");
+  const uint64_t reference = ChecksumJoins(ReferenceJoins(views, window));
+  const std::vector<TilePoint> tiles =
+      BenchTileSweep(views, window, 8, 3, reference);
+  std::printf("tile sweep (8 threads, 256 series x 20):\n");
   for (const TilePoint& p : tiles) {
+    const char* ok = p.checksum_equal ? "ok" : "CHECKSUM MISMATCH";
     if (p.tile == 0) {
-      std::printf("  tile auto %9.4fs\n", p.seconds);
+      std::printf("  tile auto %9.4fs %s\n", p.seconds, ok);
     } else {
-      std::printf("  tile %4zu %9.4fs\n", p.tile, p.seconds);
+      std::printf("  tile %4zu %9.4fs %s\n", p.tile, p.seconds, ok);
     }
   }
 
@@ -337,7 +236,7 @@ int Main(int argc, char** argv) {
   const auto small_series = MakeBatch(/*count=*/128, /*len=*/20, /*seed=*/7);
   const auto small_views = ViewsOf(small_series);
   const size_t pairs_small = 128 * 127 / 2, pairs_large = 256 * 255 / 2;
-  size_t allocs_small = 0, allocs_large = 0, allocs_old = 0;
+  size_t allocs_small = 0, allocs_large = 0;
   {
     MatrixProfileEngine engine(8);
     std::vector<PairJoin> joins;
@@ -348,42 +247,24 @@ int Main(int argc, char** argv) {
     std::vector<PairJoin> joins;
     allocs_large = WarmBatchAllocs(engine, views, window, joins);
   }
-  {
-    MatrixProfileEngine engine(8);
-    ConfigureOld(engine);
-    std::vector<PairJoin> joins;
-    allocs_old = WarmBatchAllocs(engine, views, window, joins);
-  }
   const double per_pair =
       static_cast<double>(allocs_large) - static_cast<double>(allocs_small);
   const double per_pair_allocs =
       per_pair / static_cast<double>(pairs_large - pairs_small);
   std::printf(
       "\nwarm-batch heap allocations: %zu @ %zu pairs, %zu @ %zu pairs "
-      "(new) -> %.4f per pair; old path %zu @ %zu pairs\n",
-      allocs_small, pairs_small, allocs_large, pairs_large, per_pair_allocs,
-      allocs_old, pairs_large);
+      "-> %.4f per pair\n",
+      allocs_small, pairs_small, allocs_large, pairs_large, per_pair_allocs);
 
   obs::JsonValue doc = obs::JsonValue::Object();
   doc.Set("experiment", "join_scheduler");
   doc.Set("hardware_threads", static_cast<double>(HardwareThreads()));
-  obs::JsonValue comps = obs::JsonValue::Array();
-  for (const Comparison& c : comparisons) {
-    obs::JsonValue e = obs::JsonValue::Object();
-    e.Set("section", c.name);
-    e.Set("threads", static_cast<double>(c.threads));
-    e.Set("old_seconds", c.old_s);
-    e.Set("new_seconds", c.new_s);
-    e.Set("speedup", c.Speedup());
-    e.Set("checksum_equal", c.checksum_equal);
-    comps.Append(std::move(e));
-  }
-  doc.Set("comparisons", std::move(comps));
   obs::JsonValue tile_arr = obs::JsonValue::Array();
   for (const TilePoint& p : tiles) {
     obs::JsonValue e = obs::JsonValue::Object();
     e.Set("tile", static_cast<double>(p.tile));
     e.Set("seconds", p.seconds);
+    e.Set("checksum_equal", p.checksum_equal);
     tile_arr.Append(std::move(e));
   }
   doc.Set("tile_sweep", std::move(tile_arr));
@@ -393,7 +274,6 @@ int Main(int argc, char** argv) {
   alloc.Set("pairs_small", static_cast<double>(pairs_small));
   alloc.Set("pairs_large", static_cast<double>(pairs_large));
   alloc.Set("per_pair_allocs", per_pair_allocs);
-  alloc.Set("warm_batch_allocs_old_path", static_cast<double>(allocs_old));
   doc.Set("allocations", std::move(alloc));
   if (!obs::WriteJsonFile(doc, json_path)) {
     std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
@@ -401,8 +281,8 @@ int Main(int argc, char** argv) {
   }
   std::printf("wrote %s\n", json_path.c_str());
 
-  for (const Comparison& c : comparisons) {
-    if (!c.checksum_equal) return 1;
+  for (const TilePoint& p : tiles) {
+    if (!p.checksum_equal) return 1;
   }
   return 0;
 }

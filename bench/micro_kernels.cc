@@ -77,16 +77,6 @@ void BM_SelfJoinProfile(benchmark::State& state) {
 BENCHMARK(BM_SelfJoinProfile)->RangeMultiplier(2)->Range(512, 4096)
     ->Complexity(benchmark::oNSquared);
 
-void BM_SelfJoinProfileParallel(benchmark::State& state) {
-  const auto series = RandomSeries(4096, 5);
-  const size_t threads = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        SelfJoinProfileParallel(series, 64, threads));
-  }
-}
-BENCHMARK(BM_SelfJoinProfileParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 void BM_AbJoinProfile(benchmark::State& state) {
   const auto a = RandomSeries(static_cast<size_t>(state.range(0)), 6);
   const auto b = RandomSeries(static_cast<size_t>(state.range(0)), 7);

@@ -75,9 +75,6 @@ std::vector<Subsequence> DiscoverMpBaseShapelets(
           SeriesView(own, label), candidates[i].offset, candidates[i].length,
           /*series_index=*/-1));
     }
-    // T_C / T_notC storage is reused by the next class; the pointer-keyed
-    // caches must not survive into the next class's contents.
-    engine.ClearCaches();
   }
   return shapelets;
 }

@@ -47,10 +47,10 @@ std::vector<Subsequence> DiscoverSdShapelets(const DatasetView& train,
   SdStats& s = stats != nullptr ? *stats : local;
   s = SdStats{};
 
-  // One engine per run: the redundancy scans and split evaluations below
-  // reuse train- and representative-side artefacts through its caches.
-  // Everything it caches (seeds, representatives, train) outlives the scope
-  // that cached it, and the engine dies with this call.
+  // One engine per run: the redundancy scans below reuse representative-
+  // side artefacts through its caches. Everything it caches (the
+  // representatives) outlives the scope that cached it, and the engine
+  // dies with this call.
   DistanceEngine engine(1);
 
   const std::vector<size_t> lengths =

@@ -33,11 +33,10 @@ double LabelEntropy(const std::vector<size_t>& counts, size_t total);
 /// distance, sorts, and returns the best information-gain split. Requires a
 /// non-empty training set and labels dense in [0, num_classes).
 ///
-/// The distances run through a DistanceEngine. Pass `engine` to amortise
-/// train-side artefacts (prefix sums, FFTs) across repeated evaluations;
-/// the candidate's artefacts are then cached too, so both must outlive the
-/// engine's caches (ClearCaches() otherwise). A null engine uses a
-/// call-local one. Results are bitwise identical either way.
+/// The distances run through DistanceEngine::MinForPairs, which caches
+/// artefacts for the duration of the call only. Pass `engine` to shard
+/// them over its threads; a null engine uses a call-local serial one.
+/// Results are bitwise identical either way.
 SplitQuality EvaluateSplitQuality(const Subsequence& candidate,
                                   const DatasetView& train, int num_classes,
                                   DistanceEngine* engine = nullptr);

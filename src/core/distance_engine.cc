@@ -106,13 +106,13 @@ void ForwardFftInto(std::span<const double> s, size_t padded, bool reversed,
 // ------------------------------------------------------------------- caches
 
 const std::vector<double>* DistanceEngine::CachedPrefix(
-    std::span<const double> s, bool allow) {
-  if (!allow) return nullptr;
+    std::span<const double> s, ArtifactCache* cache) {
+  if (cache == nullptr) return nullptr;
   const SpanKey key{s.data(), s.size(), 0};
   {
-    std::lock_guard<std::mutex> lock(prefix_mu_);
-    auto it = prefix_.find(key);
-    if (it != prefix_.end()) {
+    std::lock_guard<std::mutex> lock(cache->prefix_mu);
+    auto it = cache->prefix.find(key);
+    if (it != cache->prefix.end()) {
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
       Metrics().cache_hits.Add(1);
       return &it->second;
@@ -122,18 +122,19 @@ const std::vector<double>* DistanceEngine::CachedPrefix(
   Metrics().cache_misses.Add(1);
   std::vector<double> fresh;
   PrefixSquaresInto(s, fresh);
-  std::lock_guard<std::mutex> lock(prefix_mu_);
-  return &prefix_.try_emplace(key, std::move(fresh)).first->second;
+  std::lock_guard<std::mutex> lock(cache->prefix_mu);
+  return &cache->prefix.try_emplace(key, std::move(fresh)).first->second;
 }
 
 const RollingStats* DistanceEngine::CachedStats(std::span<const double> s,
-                                                size_t window, bool allow) {
-  if (!allow) return nullptr;
+                                                size_t window,
+                                                ArtifactCache* cache) {
+  if (cache == nullptr) return nullptr;
   const SpanKey key{s.data(), s.size(), window};
   {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    auto it = stats_.find(key);
-    if (it != stats_.end()) {
+    std::lock_guard<std::mutex> lock(cache->stats_mu);
+    auto it = cache->stats.find(key);
+    if (it != cache->stats.end()) {
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
       Metrics().cache_hits.Add(1);
       return &it->second;
@@ -142,17 +143,18 @@ const RollingStats* DistanceEngine::CachedStats(std::span<const double> s,
   cache_misses_.fetch_add(1, std::memory_order_relaxed);
   Metrics().cache_misses.Add(1);
   RollingStats fresh = ComputeRollingStats(s, window);
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return &stats_.try_emplace(key, std::move(fresh)).first->second;
+  std::lock_guard<std::mutex> lock(cache->stats_mu);
+  return &cache->stats.try_emplace(key, std::move(fresh)).first->second;
 }
 
 const std::vector<std::complex<double>>* DistanceEngine::CachedFft(
-    std::span<const double> s, size_t padded, bool reversed, bool allow) {
-  if (!allow) return nullptr;
-  auto& map = reversed ? fft_query_ : fft_series_;
+    std::span<const double> s, size_t padded, bool reversed,
+    ArtifactCache* cache) {
+  if (cache == nullptr) return nullptr;
+  auto& map = reversed ? cache->fft_query : cache->fft_series;
   const SpanKey key{s.data(), s.size(), padded};
   {
-    std::lock_guard<std::mutex> lock(fft_mu_);
+    std::lock_guard<std::mutex> lock(cache->fft_mu);
     auto it = map.find(key);
     if (it != map.end()) {
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -164,18 +166,18 @@ const std::vector<std::complex<double>>* DistanceEngine::CachedFft(
   Metrics().cache_misses.Add(1);
   std::vector<std::complex<double>> fresh;
   ForwardFftInto(s, padded, reversed, fresh);
-  std::lock_guard<std::mutex> lock(fft_mu_);
+  std::lock_guard<std::mutex> lock(cache->fft_mu);
   return &map.try_emplace(key, std::move(fresh)).first->second;
 }
 
 const DistanceEngine::ZnQuery* DistanceEngine::CachedZnQuery(
-    std::span<const double> q, bool allow) {
-  if (!allow) return nullptr;
+    std::span<const double> q, ArtifactCache* cache) {
+  if (cache == nullptr) return nullptr;
   const SpanKey key{q.data(), q.size(), 0};
   {
-    std::lock_guard<std::mutex> lock(znq_mu_);
-    auto it = znq_.find(key);
-    if (it != znq_.end()) {
+    std::lock_guard<std::mutex> lock(cache->znq_mu);
+    auto it = cache->znq.find(key);
+    if (it != cache->znq.end()) {
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
       Metrics().cache_hits.Add(1);
       return &it->second;
@@ -191,8 +193,8 @@ const DistanceEngine::ZnQuery* DistanceEngine::CachedZnQuery(
     fresh.sum += v;
     fresh.sum_sq += v * v;
   }
-  std::lock_guard<std::mutex> lock(znq_mu_);
-  return &znq_.try_emplace(key, std::move(fresh)).first->second;
+  std::lock_guard<std::mutex> lock(cache->znq_mu);
+  return &cache->znq.try_emplace(key, std::move(fresh)).first->second;
 }
 
 void DistanceEngine::BumpProfiles(MetricId metric) {
@@ -223,11 +225,12 @@ void DistanceEngine::BumpEab(MetricId metric, const simd::EabCounters& c) {
 
 // Fills ws.dots with the sliding dot products of `query` against `series`,
 // replicating the naive/FFT dispatch of core/distance.cc exactly. When a
-// side is cacheable its forward FFT is fetched from (or inserted into) the
-// engine cache; the arithmetic is identical either way.
+// side names a cache its forward FFT is fetched from (or inserted into)
+// it; the arithmetic is identical either way.
 void DistanceEngine::SlidingDotsInto(std::span<const double> query,
                                      std::span<const double> series,
-                                     bool cache_query, bool cache_series,
+                                     ArtifactCache* cache_query,
+                                     ArtifactCache* cache_series,
                                      DistanceWorkspace& ws) {
   const size_t m = query.size();
   const size_t n = series.size();
@@ -262,15 +265,17 @@ void DistanceEngine::SlidingDotsInto(std::span<const double> query,
 }
 
 double DistanceEngine::DotMinImpl(std::span<const double> a,
-                                  std::span<const double> b, bool cache_a,
-                                  bool cache_b, const MetricPolicy& policy,
+                                  std::span<const double> b,
+                                  ArtifactCache* cache_a,
+                                  ArtifactCache* cache_b,
+                                  const MetricPolicy& policy,
                                   DistanceWorkspace& ws, size_t seed,
                                   size_t* argmin_out) {
   const bool a_shorter = a.size() <= b.size();
   const std::span<const double> query = a_shorter ? a : b;
   const std::span<const double> series = a_shorter ? b : a;
-  const bool cache_q = a_shorter ? cache_a : cache_b;
-  const bool cache_s = a_shorter ? cache_b : cache_a;
+  ArtifactCache* const cache_q = a_shorter ? cache_a : cache_b;
+  ArtifactCache* const cache_s = a_shorter ? cache_b : cache_a;
   const size_t m = query.size();
   const size_t n = series.size();
   IPS_CHECK(m >= 1);
@@ -342,7 +347,8 @@ double DistanceEngine::DotMinImpl(std::span<const double> a,
 
 void DistanceEngine::DotProfileImpl(std::span<const double> query,
                                     std::span<const double> series,
-                                    bool cache_query, bool cache_series,
+                                    ArtifactCache* cache_query,
+                                    ArtifactCache* cache_series,
                                     const MetricPolicy& policy,
                                     DistanceWorkspace& ws,
                                     std::vector<double>& out) {
@@ -377,14 +383,16 @@ void DistanceEngine::DotProfileImpl(std::span<const double> query,
 }
 
 double DistanceEngine::ZNormMinImpl(std::span<const double> a,
-                                    std::span<const double> b, bool cache_a,
-                                    bool cache_b, DistanceWorkspace& ws,
-                                    size_t seed, size_t* argmin_out) {
+                                    std::span<const double> b,
+                                    ArtifactCache* cache_a,
+                                    ArtifactCache* cache_b,
+                                    DistanceWorkspace& ws, size_t seed,
+                                    size_t* argmin_out) {
   const bool a_shorter = a.size() <= b.size();
   const std::span<const double> query = a_shorter ? a : b;
   const std::span<const double> series = a_shorter ? b : a;
-  const bool cache_q = a_shorter ? cache_a : cache_b;
-  const bool cache_s = a_shorter ? cache_b : cache_a;
+  ArtifactCache* const cache_q = a_shorter ? cache_a : cache_b;
+  ArtifactCache* const cache_s = a_shorter ? cache_b : cache_a;
   const size_t m = query.size();
   const size_t n = series.size();
   IPS_CHECK(m >= 1);
@@ -402,7 +410,7 @@ double DistanceEngine::ZNormMinImpl(std::span<const double> a,
     stats = &local_stats;
   }
 
-  // Z-normalised query: from the cache when the shapelet side is stable,
+  // Z-normalised query: from the cache when the query side is cached,
   // otherwise into scratch (same operations as ZNormalize, so bitwise
   // identical). The value/square sums only feed the early-abandon bound
   // arithmetic, never a returned distance.
@@ -457,7 +465,7 @@ double DistanceEngine::ZNormMinImpl(std::span<const double> a,
   }
 
   // The FFT of the z-normalised query is only cacheable when the values
-  // live in the engine-owned ZnQuery entry (a stable address).
+  // live in the cached ZnQuery entry (a stable address).
   SlidingDotsInto(q, series, cache_q, cache_s, ws);
 
   return simd::ZNormMinFromDots(ws.dots.data(), stats->stds.data(), n - m + 1,
@@ -466,7 +474,8 @@ double DistanceEngine::ZNormMinImpl(std::span<const double> a,
 
 void DistanceEngine::ZNormProfileImpl(std::span<const double> query,
                                       std::span<const double> series,
-                                      bool cache_query, bool cache_series,
+                                      ArtifactCache* cache_query,
+                                      ArtifactCache* cache_series,
                                       DistanceWorkspace& ws,
                                       std::vector<double>& out) {
   const size_t m = query.size();
@@ -503,8 +512,9 @@ void DistanceEngine::ZNormProfileImpl(std::span<const double> query,
 }
 
 double DistanceEngine::MinImpl(std::span<const double> a,
-                               std::span<const double> b, bool cache_a,
-                               bool cache_b, MetricId metric,
+                               std::span<const double> b,
+                               ArtifactCache* cache_a, ArtifactCache* cache_b,
+                               MetricId metric,
                                DistanceWorkspace& ws, size_t seed,
                                size_t* argmin_out) {
   if (metric == MetricId::kZNormEuclidean) {
@@ -516,7 +526,8 @@ double DistanceEngine::MinImpl(std::span<const double> a,
 
 void DistanceEngine::ProfileImpl(std::span<const double> query,
                                  std::span<const double> series,
-                                 bool cache_query, bool cache_series,
+                                 ArtifactCache* cache_query,
+                                 ArtifactCache* cache_series,
                                  MetricId metric, DistanceWorkspace& ws,
                                  std::vector<double>& out) {
   if (metric == MetricId::kZNormEuclidean) {
@@ -549,7 +560,7 @@ void DistanceEngine::ParallelItems(size_t count, Fn&& fn) {
 double DistanceEngine::SubsequenceMin(std::span<const double> a,
                                       std::span<const double> b,
                                       bool cache_b) {
-  return DotMinImpl(a, b, /*cache_a=*/false, cache_b,
+  return DotMinImpl(a, b, /*cache_a=*/nullptr, cache_b ? &cache_ : nullptr,
                     GetMetric(MetricId::kRawSquaredEuclidean),
                     LocalWorkspace());
 }
@@ -557,21 +568,23 @@ double DistanceEngine::SubsequenceMin(std::span<const double> a,
 double DistanceEngine::SubsequenceMinZNorm(std::span<const double> a,
                                            std::span<const double> b,
                                            bool cache_b) {
-  return ZNormMinImpl(a, b, /*cache_a=*/false, cache_b, LocalWorkspace());
+  return ZNormMinImpl(a, b, /*cache_a=*/nullptr, cache_b ? &cache_ : nullptr,
+                      LocalWorkspace());
 }
 
 double DistanceEngine::SubsequenceMinMetric(std::span<const double> a,
                                             std::span<const double> b,
                                             MetricId metric, bool cache_b) {
-  return MinImpl(a, b, /*cache_a=*/false, cache_b, metric, LocalWorkspace());
+  return MinImpl(a, b, /*cache_a=*/nullptr, cache_b ? &cache_ : nullptr,
+                 metric, LocalWorkspace());
 }
 
 std::vector<double> DistanceEngine::ProfileAgainstSeries(
     std::span<const double> query, std::span<const double> series,
     MetricId metric) {
   std::vector<double> out;
-  ProfileImpl(query, series, /*cache_query=*/false, /*cache_series=*/false,
-              metric, LocalWorkspace(), out);
+  ProfileImpl(query, series, /*cache_query=*/nullptr,
+              /*cache_series=*/nullptr, metric, LocalWorkspace(), out);
   return out;
 }
 
@@ -580,8 +593,8 @@ std::vector<std::vector<double>> DistanceEngine::ProfileAgainstDataset(
   IPS_SPAN("dist_profile_batch");
   std::vector<std::vector<double>> out(data.size());
   ParallelItems(data.size(), [&](size_t i, DistanceWorkspace& ws) {
-    ProfileImpl(query, data.At(i).view(), /*cache_query=*/false,
-                /*cache_series=*/true, metric, ws, out[i]);
+    ProfileImpl(query, data.At(i).view(), /*cache_query=*/nullptr, &cache_,
+                metric, ws, out[i]);
   });
   return out;
 }
@@ -591,8 +604,8 @@ std::vector<double> DistanceEngine::MinAgainstDataset(
   IPS_SPAN("dist_min_batch");
   std::vector<double> out(data.size());
   ParallelItems(data.size(), [&](size_t i, DistanceWorkspace& ws) {
-    out[i] = MinImpl(query, data.At(i).view(), /*cache_a=*/false,
-                     /*cache_b=*/true, metric, ws);
+    out[i] = MinImpl(query, data.At(i).view(), /*cache_a=*/nullptr, &cache_,
+                     metric, ws);
   });
   return out;
 }
@@ -601,11 +614,15 @@ std::vector<double> DistanceEngine::MinForPairs(
     const std::vector<std::span<const double>>& views,
     const std::vector<IndexPair>& pairs, MetricId metric) {
   IPS_SPAN("dist_pair_batch");
+  // Call-local artefacts: within the call every view is immutable, so its
+  // address identifies its contents; after the call the store is gone, so
+  // storage the caller reuses can never be served stale.
+  ArtifactCache call_cache;
   std::vector<double> out(pairs.size());
   ParallelItems(pairs.size(), [&](size_t t, DistanceWorkspace& ws) {
     const auto [qi, si] = pairs[t];
-    out[t] = MinImpl(views[qi], views[si], /*cache_a=*/true,
-                     /*cache_b=*/true, metric, ws);
+    out[t] = MinImpl(views[qi], views[si], &call_cache, &call_cache, metric,
+                     ws);
   });
   return out;
 }
@@ -668,8 +685,8 @@ std::vector<std::vector<double>> DistanceEngine::TransformBatch(
       const std::span<const double> series = chunk[k].view();
       for (size_t s = 0; s < shapelets.size(); ++s) {
         // Argument order matches TransformSeries: (series, shapelet).
-        row[s] = MinImpl(series, shapelets[s].view(), /*cache_a=*/true,
-                         /*cache_b=*/true, metric, ws, ws.eab_seed_hints[s],
+        row[s] = MinImpl(series, shapelets[s].view(), &cache_, &cache_,
+                         metric, ws, ws.eab_seed_hints[s],
                          &ws.eab_seed_hints[s]);
       }
     });
@@ -684,8 +701,8 @@ std::vector<double> DistanceEngine::TransformOne(
   DistanceWorkspace& ws = LocalWorkspace();
   std::vector<double> row(shapelets.size());
   for (size_t s = 0; s < shapelets.size(); ++s) {
-    row[s] = MinImpl(series, shapelets[s].view(), /*cache_a=*/false,
-                     /*cache_b=*/true, metric, ws);
+    row[s] = MinImpl(series, shapelets[s].view(), /*cache_a=*/nullptr,
+                     &cache_, metric, ws);
   }
   return row;
 }
@@ -714,21 +731,21 @@ void DistanceEngine::ResetCounters() {
 
 void DistanceEngine::ClearCaches() {
   {
-    std::lock_guard<std::mutex> lock(prefix_mu_);
-    prefix_.clear();
+    std::lock_guard<std::mutex> lock(cache_.prefix_mu);
+    cache_.prefix.clear();
   }
   {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.clear();
+    std::lock_guard<std::mutex> lock(cache_.stats_mu);
+    cache_.stats.clear();
   }
   {
-    std::lock_guard<std::mutex> lock(fft_mu_);
-    fft_series_.clear();
-    fft_query_.clear();
+    std::lock_guard<std::mutex> lock(cache_.fft_mu);
+    cache_.fft_series.clear();
+    cache_.fft_query.clear();
   }
   {
-    std::lock_guard<std::mutex> lock(znq_mu_);
-    znq_.clear();
+    std::lock_guard<std::mutex> lock(cache_.znq_mu);
+    cache_.znq.clear();
   }
 }
 

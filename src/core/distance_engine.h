@@ -29,11 +29,14 @@
 // Batch calls create their worker scratch per call; single-pair calls use
 // thread-local scratch.
 //
-// Lifetime contract: cached artefacts are keyed by the address and length
-// of the series data. Only arguments the API documents as cacheable are
-// ever inserted or looked up (temporary queries never are), and callers
-// that re-fit against new data must ClearCaches() first -- the classifiers
-// in this codebase do so at the top of Fit().
+// Lifetime contract: the engine's long-lived artefacts are keyed by the
+// address and length of the series data. Only arguments the API documents
+// as cacheable are ever inserted or looked up (temporary queries never
+// are), and callers that re-fit against new data must ClearCaches() first
+// -- the classifiers in this codebase do so at the top of Fit().
+// MinForPairs never touches them: it caches its views' artefacts in a
+// call-local store, so its views may be temporaries whose storage is
+// reused between calls.
 
 #ifndef IPS_CORE_DISTANCE_ENGINE_H_
 #define IPS_CORE_DISTANCE_ENGINE_H_
@@ -93,15 +96,6 @@ using IndexPair = std::pair<uint32_t, uint32_t>;
 
 class DistanceEngine {
  public:
-  /// Build-time kill switch: -DIPS_DISABLE_EARLY_ABANDON compiles the
-  /// cascade out entirely (set_early_abandon(true) stays off). Mirrors the
-  /// IPS_DISABLE_SIMD / IPS_DISABLE_TRACING discipline.
-#if defined(IPS_DISABLE_EARLY_ABANDON)
-  static constexpr bool kEarlyAbandonCompiledIn = false;
-#else
-  static constexpr bool kEarlyAbandonCompiledIn = true;
-#endif
-
   /// `num_threads` shards every batched call (1 = serial, 0 = auto:
   /// HardwareThreads()). The thread count never changes results, only
   /// wall-clock.
@@ -117,12 +111,10 @@ class DistanceEngine {
   /// Whether the early-abandon lower-bound cascade (docs/pruning.md) serves
   /// min queries in the naive sliding-dots regime. On by default; minima
   /// are bitwise identical either way, so this is a pure performance knob
-  /// (IpsOptions::enable_early_abandon plumbs it per run for A/B parity
-  /// testing). Building with -DIPS_DISABLE_EARLY_ABANDON pins it off.
+  /// (IpsOptions::enable_early_abandon plumbs it per run; the dense path
+  /// is the parity reference).
   bool early_abandon() const { return early_abandon_; }
-  void set_early_abandon(bool on) {
-    early_abandon_ = kEarlyAbandonCompiledIn && on;
-  }
+  void set_early_abandon(bool on) { early_abandon_ = on; }
 
   // ------------------------------------------------------------ single pair
 
@@ -169,9 +161,11 @@ class DistanceEngine {
 
   /// dist[t] == SubsequenceDistanceMetric(views[pairs[t].first],
   /// views[pairs[t].second], metric) for every work item, computed in
-  /// parallel with every view's artefacts cached. The building block of the
-  /// pairwise and matrix APIs; call sites with bespoke pair structure
-  /// (utility scoring, naive pruning) drive it directly.
+  /// parallel. Each view's artefacts are computed once per call and shared
+  /// by every pair that touches it; nothing outlives the call, so `views`
+  /// may be temporaries. The building block of the pairwise and matrix
+  /// APIs; call sites with bespoke pair structure (utility scoring, naive
+  /// pruning) drive it directly.
   std::vector<double> MinForPairs(
       const std::vector<std::span<const double>>& views,
       const std::vector<IndexPair>& pairs,
@@ -210,8 +204,9 @@ class DistanceEngine {
   EngineCounters counters() const;
   void ResetCounters();
 
-  /// Drops every cached artefact. Required before reusing an engine against
-  /// data whose storage may have been freed or reused (e.g. re-Fit).
+  /// Drops every long-lived cached artefact. Required before reusing an
+  /// engine against data whose storage may have been freed or reused
+  /// (e.g. re-Fit).
   void ClearCaches();
 
  private:
@@ -241,20 +236,45 @@ class DistanceEngine {
     double sum_sq = 0.0;
   };
 
-  // Cache accessors: return a stable pointer to the cached artefact, or
-  // nullptr when `allow` is false (caller computes into scratch instead).
-  const std::vector<double>* CachedPrefix(std::span<const double> s,
-                                          bool allow);
-  const RollingStats* CachedStats(std::span<const double> s, size_t window,
-                                  bool allow);
-  const std::vector<std::complex<double>>* CachedFft(
-      std::span<const double> s, size_t padded, bool reversed, bool allow);
-  const ZnQuery* CachedZnQuery(std::span<const double> q, bool allow);
+  /// Mutex-guarded, address-keyed artefact maps. The engine owns one for
+  /// the arguments its API documents as cacheable; MinForPairs builds a
+  /// call-local one. Fills are pure functions of the series bytes, so a
+  /// racing double-compute yields identical values and first-insert wins.
+  struct ArtifactCache {
+    std::mutex prefix_mu;
+    std::unordered_map<SpanKey, std::vector<double>, SpanKeyHash> prefix;
+    std::mutex stats_mu;
+    std::unordered_map<SpanKey, RollingStats, SpanKeyHash> stats;
+    std::mutex fft_mu;
+    // aux = padded size; the reversed (query-side) transforms get their
+    // own map so a key never aliases a series-side transform.
+    std::unordered_map<SpanKey, std::vector<std::complex<double>>,
+                       SpanKeyHash>
+        fft_series;
+    std::unordered_map<SpanKey, std::vector<std::complex<double>>,
+                       SpanKeyHash>
+        fft_query;
+    std::mutex znq_mu;
+    std::unordered_map<SpanKey, ZnQuery, SpanKeyHash> znq;
+  };
 
-  // Kernels (bitwise identical to the core/distance.h serial paths). The
+  // Cache accessors: return a stable pointer to the artefact in `cache`,
+  // or nullptr when `cache` is null (caller computes into scratch instead).
+  const std::vector<double>* CachedPrefix(std::span<const double> s,
+                                          ArtifactCache* cache);
+  const RollingStats* CachedStats(std::span<const double> s, size_t window,
+                                  ArtifactCache* cache);
+  const std::vector<std::complex<double>>* CachedFft(
+      std::span<const double> s, size_t padded, bool reversed,
+      ArtifactCache* cache);
+  const ZnQuery* CachedZnQuery(std::span<const double> q,
+                               ArtifactCache* cache);
+
+  // Kernels (bitwise identical to the core/distance.h serial paths). Each
+  // side names the cache its artefacts live in (null: not cached). The
   // query span passed to SlidingDotsInto must be address-stable whenever
-  // cache_query is true (the z-norm path passes the engine-owned cached
-  // ZnQuery values in that case, never scratch).
+  // cache_query is set (the z-norm path passes the cached ZnQuery values
+  // in that case, never scratch).
   /// Bumps the per-engine total plus the registry total and the per-metric
   /// labelled counter ("engine.profiles.<name>").
   void BumpProfiles(MetricId metric);
@@ -264,8 +284,9 @@ class DistanceEngine {
   void BumpEab(MetricId metric, const simd::EabCounters& c);
 
   void SlidingDotsInto(std::span<const double> query,
-                       std::span<const double> series, bool cache_query,
-                       bool cache_series, DistanceWorkspace& ws);
+                       std::span<const double> series,
+                       ArtifactCache* cache_query,
+                       ArtifactCache* cache_series, DistanceWorkspace& ws);
   // The dot family (raw / L2 / cosine) shares one qq + prefix-squares +
   // sliding-dots skeleton and differs only in the policy tail hook; the
   // z-normalised family has its own impls (rolling stats, query z-norm).
@@ -274,29 +295,35 @@ class DistanceEngine {
   // report the winning alignment back through `argmin_out` so batched
   // transforms can seed the next series. Neither affects returned values.
   double DotMinImpl(std::span<const double> a, std::span<const double> b,
-                    bool cache_a, bool cache_b, const MetricPolicy& policy,
+                    ArtifactCache* cache_a, ArtifactCache* cache_b,
+                    const MetricPolicy& policy,
                     DistanceWorkspace& ws, size_t seed = simd::kEabNoSeed,
                     size_t* argmin_out = nullptr);
   void DotProfileImpl(std::span<const double> query,
-                      std::span<const double> series, bool cache_query,
-                      bool cache_series, const MetricPolicy& policy,
+                      std::span<const double> series,
+                      ArtifactCache* cache_query, ArtifactCache* cache_series,
+                      const MetricPolicy& policy,
                       DistanceWorkspace& ws, std::vector<double>& out);
   double ZNormMinImpl(std::span<const double> a, std::span<const double> b,
-                      bool cache_a, bool cache_b, DistanceWorkspace& ws,
+                      ArtifactCache* cache_a, ArtifactCache* cache_b,
+                      DistanceWorkspace& ws,
                       size_t seed = simd::kEabNoSeed,
                       size_t* argmin_out = nullptr);
   void ZNormProfileImpl(std::span<const double> query,
-                        std::span<const double> series, bool cache_query,
-                        bool cache_series, DistanceWorkspace& ws,
+                        std::span<const double> series,
+                        ArtifactCache* cache_query,
+                        ArtifactCache* cache_series, DistanceWorkspace& ws,
                         std::vector<double>& out);
   // Metric-dispatching wrappers over the four impls above.
   double MinImpl(std::span<const double> a, std::span<const double> b,
-                 bool cache_a, bool cache_b, MetricId metric,
+                 ArtifactCache* cache_a, ArtifactCache* cache_b,
+                 MetricId metric,
                  DistanceWorkspace& ws, size_t seed = simd::kEabNoSeed,
                  size_t* argmin_out = nullptr);
   void ProfileImpl(std::span<const double> query,
-                   std::span<const double> series, bool cache_query,
-                   bool cache_series, MetricId metric, DistanceWorkspace& ws,
+                   std::span<const double> series, ArtifactCache* cache_query,
+                   ArtifactCache* cache_series, MetricId metric,
+                   DistanceWorkspace& ws,
                    std::vector<double>& out);
 
   /// Runs fn(item, workspace) for every item with per-worker scratch.
@@ -304,21 +331,9 @@ class DistanceEngine {
   void ParallelItems(size_t count, Fn&& fn);
 
   size_t num_threads_;
-  bool early_abandon_ = kEarlyAbandonCompiledIn;
+  bool early_abandon_ = true;
 
-  mutable std::mutex prefix_mu_;
-  std::unordered_map<SpanKey, std::vector<double>, SpanKeyHash> prefix_;
-  mutable std::mutex stats_mu_;
-  std::unordered_map<SpanKey, RollingStats, SpanKeyHash> stats_;
-  mutable std::mutex fft_mu_;
-  // aux = padded size; the reversed (query-side) transforms get their own
-  // map so a key never aliases a series-side transform.
-  std::unordered_map<SpanKey, std::vector<std::complex<double>>, SpanKeyHash>
-      fft_series_;
-  std::unordered_map<SpanKey, std::vector<std::complex<double>>, SpanKeyHash>
-      fft_query_;
-  mutable std::mutex znq_mu_;
-  std::unordered_map<SpanKey, ZnQuery, SpanKeyHash> znq_;
+  ArtifactCache cache_;
 
   std::atomic<size_t> profiles_{0};
   std::atomic<size_t> cache_hits_{0};

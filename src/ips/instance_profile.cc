@@ -68,11 +68,6 @@ InstanceProfile ComputeInstanceProfile(std::span<const SeriesView> sample,
   std::vector<std::span<const double>> views;
   views.reserve(usable.size());
   for (size_t m : usable) views.push_back(sample[m].view());
-  // Parallel precompute pass: one immutable artifact table (statistics,
-  // forward FFTs, QT seed rows) for the whole batch, built before the
-  // O(|sample|^2) pair loop so its sweeps read artifacts lock-free by
-  // index. The engine retains the table, so the join below reuses it.
-  if (eng.use_artifact_table()) eng.PrepareAllPairs(views, window, metric);
   const std::vector<PairJoin> joins = eng.JoinAllPairs(views, window, metric);
 
   // Flat num_windows x |others| scatter buffer per usable instance: row i

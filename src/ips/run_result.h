@@ -56,8 +56,7 @@ struct IpsRunStats {
   /// summed across metrics: alignments considered by the pruned min path,
   /// skipped whole by a lower bound, scans cut short by the partial-sum
   /// test, and scans run to completion. All zero when the cascade is off
-  /// (IpsOptions::enable_early_abandon == false or
-  /// -DIPS_DISABLE_EARLY_ABANDON builds); otherwise
+  /// (IpsOptions::enable_early_abandon == false); otherwise
   /// eab_candidates == eab_lb_pruned + eab_abandoned + eab_full.
   size_t eab_candidates = 0;
   size_t eab_lb_pruned = 0;
@@ -69,6 +68,8 @@ struct IpsRunStats {
   /// the MatrixProfileEngine totals over the per-task engines.
   /// mp_joins_halved counts directed joins served by a pair-symmetric
   /// sweep's far side -- work the pre-engine code computed from scratch.
+  /// mp_cache_hits/misses read the retired "mp.cache_*" counters, which
+  /// nothing bumps any more; they stay so the run-JSON format is stable.
   double profile_seconds = 0.0;
   size_t mp_joins_computed = 0;
   size_t mp_qt_sweeps = 0;
@@ -78,9 +79,8 @@ struct IpsRunStats {
 
   /// Tiled all-pairs join scheduler accounting (docs/memory.md): immutable
   /// artifact tables built by the parallel precompute pass / served again
-  /// from the engine's single-slot cache, entries materialised in those
-  /// tables, and pair contexts filled lock-free from a table instead of
-  /// the mutex-guarded caches.
+  /// from the engine's single retained slot, entries materialised in those
+  /// tables, and pair contexts filled lock-free from a table.
   size_t artifact_tables_built = 0;
   size_t artifact_tables_reused = 0;
   size_t artifact_entries = 0;

@@ -7,7 +7,6 @@
 #include "core/znorm.h"
 #include "matrix_profile/stomp_common.h"
 #include "util/check.h"
-#include "util/parallel.h"
 
 namespace ips {
 
@@ -74,64 +73,6 @@ MatrixProfile SelfJoinProfile(std::span<const double> series, size_t window,
     }
     for (size_t j = i + 1; j < l; ++j) update(i, j, qt[j]);
   }
-  return mp;
-}
-
-MatrixProfile SelfJoinProfileParallel(std::span<const double> series,
-                                      size_t window, size_t num_threads,
-                                      size_t exclusion) {
-  IPS_CHECK(window >= 2);
-  IPS_CHECK(series.size() > window);
-  num_threads = ResolveNumThreads(num_threads);
-  if (num_threads <= 1) return SelfJoinProfile(series, window, exclusion);
-  if (exclusion == 0) exclusion = DefaultExclusionZone(window);
-
-  const size_t n = series.size();
-  const size_t l = n - window + 1;
-  const RollingStats stats = ComputeRollingStats(series, window);
-
-  MatrixProfile mp;
-  mp.values.assign(l, kInf);
-  mp.indices.assign(l, kNoNeighbor);
-
-  // Column-0 products, shared by every chunk: QT(i, 0) = QT(0, i), so the
-  // seed row doubles as the recurrence's left edge (as in the serial
-  // kernel) instead of an O(window) scalar dot per row.
-  const std::vector<double> qt_first =
-      InitialDots(series.subspan(0, window), series);
-
-  const size_t chunks = std::min(num_threads, l);
-  const size_t chunk_size = (l + chunks - 1) / chunks;
-
-  ParallelFor(chunks, num_threads, [&](size_t c) {
-    const size_t row_begin = c * chunk_size;
-    const size_t row_end = std::min(l, row_begin + chunk_size);
-    if (row_begin >= row_end) return;
-
-    // Seed the chunk's recurrence with one sliding-products computation.
-    std::vector<double> qt =
-        InitialDots(series.subspan(row_begin, window), series);
-
-    for (size_t i = row_begin; i < row_end; ++i) {
-      if (i > row_begin) {
-        for (size_t j = l - 1; j >= 1; --j) {
-          qt[j] = StompAdvance(qt[j - 1], series, series, i, j, window);
-        }
-        qt[0] = qt_first[i];
-      }
-      for (size_t j = 0; j < l; ++j) {
-        const size_t gap = i > j ? i - j : j - i;
-        if (gap <= exclusion) continue;
-        const double d =
-            StompZNormDistance(qt[j], window, stats.means[i], stats.stds[i],
-                               stats.means[j], stats.stds[j]);
-        if (d < mp.values[i]) {
-          mp.values[i] = d;
-          mp.indices[i] = j;
-        }
-      }
-    }
-  });
   return mp;
 }
 

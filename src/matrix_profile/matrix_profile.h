@@ -47,15 +47,6 @@ MatrixProfile SelfJoinProfile(std::span<const double> series, size_t window,
 MatrixProfile AbJoinProfile(std::span<const double> a,
                             std::span<const double> b, size_t window);
 
-/// Multi-threaded self-join: the row range is chunked, each chunk seeds its
-/// own STOMP recurrence with one MASS computation, and per-chunk minima are
-/// merged. Bit-identical distances to SelfJoinProfile up to floating-point
-/// reassociation of the per-row minimum (values agree to ~1e-9); num_threads
-/// == 1 delegates to the sequential kernel, 0 means HardwareThreads().
-MatrixProfile SelfJoinProfileParallel(std::span<const double> series,
-                                      size_t window, size_t num_threads,
-                                      size_t exclusion = 0);
-
 /// Elementwise |pa - pb| of two equal-length profiles -- the diff series of
 /// the paper's Fig. 4 that the MP baseline maximises.
 std::vector<double> ProfileDiff(const MatrixProfile& pa,

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include <algorithm>
 #include <atomic>
 #include <span>
 #include <thread>
@@ -277,6 +278,36 @@ TEST(DistanceEngineStressTest, ConcurrentBatchesMatchSerialBitwise) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+// MinForPairs keeps nothing between calls: views are often temporaries
+// (pool.AllOfClass copies) whose storage the next call reuses at the same
+// address and length. Rewriting the buffers in place between two calls
+// on one engine must give the distances of the NEW values.
+TEST(DistanceEngineStorageReuseTest, MinForPairsSeesRewrittenStorage) {
+  Rng rng(97);
+  std::vector<double> query(12);
+  std::vector<double> series(70);
+  const std::vector<std::span<const double>> views = {query, series};
+  const std::vector<IndexPair> pairs = {{0, 1}, {1, 0}, {0, 0}, {1, 1}};
+  for (size_t m = 0; m < kMetricCount; ++m) {
+    const MetricId metric = static_cast<MetricId>(m);
+    DistanceEngine engine(2);
+    for (int round = 0; round < 3; ++round) {
+      const std::vector<double> q = RandomSeries(rng, query.size());
+      const std::vector<double> s = RandomSeries(rng, series.size());
+      std::copy(q.begin(), q.end(), query.begin());
+      std::copy(s.begin(), s.end(), series.begin());
+      const std::vector<double> dists =
+          engine.MinForPairs(views, pairs, metric);
+      for (size_t t = 0; t < pairs.size(); ++t) {
+        EXPECT_EQ(dists[t],
+                  SubsequenceDistanceMetric(views[pairs[t].first],
+                                            views[pairs[t].second], metric))
+            << MetricName(metric) << " round " << round << " pair " << t;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Bitwise-identity suite for the tiled all-pairs join scheduler
-// (docs/memory.md): every combination of {artifact table on/off} x
-// {scratch arena on/off} x {tile width} x {thread count} must reproduce
-// the serial untable/unarena/untiled reference EXACTLY -- the scheduler
-// reorders work and reuses memory, it never changes arithmetic. The CI
-// fingerprint matrix holds end-to-end discovery to the same bar; this
-// suite pins the engine layer directly, including the FFT-seed regime and
-// every registered metric.
+// (docs/memory.md): every combination of {tile width} x {thread count}
+// must reproduce the reference EXACTLY -- the scheduler reorders work and
+// reuses memory, it never changes arithmetic. The reference is the serial
+// AbJoinProfile kernel in both directions for the z-normalised metric, and
+// a 1-thread, untiled engine for the others (the serial kernels are
+// z-normalised only). The CI fingerprint diff holds end-to-end discovery
+// to the same bar; this suite pins the engine layer directly, including
+// the FFT-seed regime and every registered metric.
 
 #include "matrix_profile/mp_engine.h"
 
@@ -13,6 +14,7 @@
 
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -75,36 +77,39 @@ void ExpectJoinsBitwiseEqual(const std::vector<PairJoin>& expected,
 std::vector<PairJoin> ReferenceJoins(
     const std::vector<std::span<const double>>& views, size_t window,
     MetricId metric) {
-  MatrixProfileEngine engine(1);
-  engine.set_use_artifact_table(false);
-  engine.set_use_arena(false);
-  engine.set_tile_size(1);
-  return engine.JoinAllPairs(views, window, metric);
+  if (metric != MetricId::kZNormEuclidean) {
+    MatrixProfileEngine engine(1);
+    engine.set_tile_size(1);
+    return engine.JoinAllPairs(views, window, metric);
+  }
+  std::vector<PairJoin> joins;
+  for (size_t i = 0; i < views.size(); ++i) {
+    for (size_t j = i + 1; j < views.size(); ++j) {
+      PairJoin pj;
+      pj.a = i;
+      pj.b = j;
+      pj.a_vs_b = AbJoinProfile(views[i], views[j], window);
+      pj.b_vs_a = AbJoinProfile(views[j], views[i], window);
+      joins.push_back(std::move(pj));
+    }
+  }
+  return joins;
 }
 
 void RunConfigMatrix(const std::vector<std::span<const double>>& views,
                      size_t window, MetricId metric) {
   const std::vector<PairJoin> expected =
       ReferenceJoins(views, window, metric);
-  for (bool table : {false, true}) {
-    for (bool arena : {false, true}) {
-      for (size_t tile : {size_t{1}, size_t{2}, size_t{3}, size_t{0}}) {
-        for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-          MatrixProfileEngine engine(threads);
-          engine.set_use_artifact_table(table);
-          engine.set_use_arena(arena);
-          engine.set_tile_size(tile);
-          const std::vector<PairJoin> actual =
-              engine.JoinAllPairs(views, window, metric);
-          const std::string config =
-              std::string("table=") + (table ? "1" : "0") +
-              " arena=" + (arena ? "1" : "0") +
-              " tile=" + std::to_string(tile) +
-              " threads=" + std::to_string(threads) +
-              " metric=" + MetricName(metric);
-          ExpectJoinsBitwiseEqual(expected, actual, config);
-        }
-      }
+  for (size_t tile : {size_t{1}, size_t{2}, size_t{3}, size_t{0}}) {
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      MatrixProfileEngine engine(threads);
+      engine.set_tile_size(tile);
+      const std::vector<PairJoin> actual =
+          engine.JoinAllPairs(views, window, metric);
+      const std::string config = "tile=" + std::to_string(tile) +
+                                 " threads=" + std::to_string(threads) +
+                                 " metric=" + MetricName(metric);
+      ExpectJoinsBitwiseEqual(expected, actual, config);
     }
   }
 }
@@ -190,17 +195,16 @@ TEST(JoinSchedulerTest, PreparedTableIsReusedByTheJoin) {
 }
 
 TEST(JoinSchedulerTest, SelfJoinAndAbJoinUnaffectedByKnobs) {
-  // The ad-hoc entry points bypass the batch scheduler; the knobs must not
-  // disturb them either way.
+  // The ad-hoc entry points bypass the batch scheduler; its knobs must not
+  // disturb them.
   const auto series = MakeSeries(31, {90, 76});
   const auto views = ViewsOf(series);
-  MatrixProfileEngine reference(1);
-  reference.set_use_artifact_table(false);
-  reference.set_use_arena(false);
-  const MatrixProfile self_e = reference.SelfJoin(views[0], 9, 0);
-  const MatrixProfile ab_e = reference.AbJoin(views[0], views[1], 9);
+  const MatrixProfile self_e = SelfJoinProfile(views[0], 9, 0);
+  const MatrixProfile ab_e = AbJoinProfile(views[0], views[1], 9);
 
   MatrixProfileEngine engine(2);
+  engine.set_tile_size(3);
+  engine.set_min_cells_per_chunk(1);
   const MatrixProfile self_a = engine.SelfJoin(views[0], 9, 0);
   const MatrixProfile ab_a = engine.AbJoin(views[0], views[1], 9);
   ASSERT_EQ(self_e.values.size(), self_a.values.size());

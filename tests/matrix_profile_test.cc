@@ -193,44 +193,6 @@ TEST(DefaultExclusionZoneTest, HalfWindowRoundedUp) {
   EXPECT_EQ(DefaultExclusionZone(9), 5u);
 }
 
-TEST(SelfJoinProfileParallelTest, MatchesSequential) {
-  Rng rng(11);
-  std::vector<double> s(300);
-  for (auto& v : s) v = rng.Gaussian();
-  const MatrixProfile seq = SelfJoinProfile(s, 16);
-  for (size_t threads : {2, 4, 7}) {
-    const MatrixProfile par = SelfJoinProfileParallel(s, 16, threads);
-    ASSERT_EQ(par.size(), seq.size());
-    for (size_t i = 0; i < seq.size(); ++i) {
-      EXPECT_NEAR(par.values[i], seq.values[i], 1e-7)
-          << "threads " << threads << " position " << i;
-    }
-  }
-}
-
-TEST(SelfJoinProfileParallelTest, SingleThreadDelegates) {
-  Rng rng(12);
-  std::vector<double> s(80);
-  for (auto& v : s) v = rng.Gaussian();
-  const MatrixProfile a = SelfJoinProfile(s, 8);
-  const MatrixProfile b = SelfJoinProfileParallel(s, 8, 1);
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.values[i], b.values[i]);
-    EXPECT_EQ(a.indices[i], b.indices[i]);
-  }
-}
-
-TEST(SelfJoinProfileParallelTest, MoreThreadsThanRows) {
-  Rng rng(13);
-  std::vector<double> s(20);
-  for (auto& v : s) v = rng.Gaussian();
-  const MatrixProfile seq = SelfJoinProfile(s, 4);
-  const MatrixProfile par = SelfJoinProfileParallel(s, 4, 64);
-  for (size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_NEAR(par.values[i], seq.values[i], 1e-8);
-  }
-}
-
 class SelfJoinSweep : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(SelfJoinSweep, AgreesWithBruteAcrossWindows) {

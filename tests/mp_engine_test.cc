@@ -8,9 +8,11 @@
 
 #include <cstddef>
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
+#include "core/metric.h"
 #include "core/rng.h"
 #include "core/time_series.h"
 #include "data/generator.h"
@@ -189,42 +191,17 @@ TEST(MpEngineCountersTest, PairSymmetryHalvesJoins) {
   for (size_t n : {80u, 80u, 80u}) series.push_back(RandomWalk(rng, n));
   std::vector<std::span<const double>> views(series.begin(), series.end());
 
-  // Legacy scheduling path: with the artifact table off, batches are fed
-  // by the mutex-guarded per-entry caches (kept for ad-hoc callers).
-  MatrixProfileEngine engine(2);
-  engine.set_use_artifact_table(false);
-  engine.JoinAllPairs(views, 10);
-  const MpEngineCounters c = engine.counters();
-  // 3 unordered pairs serve all 6 directed joins of the historic code.
-  EXPECT_EQ(c.qt_sweeps, 3u);
-  EXPECT_EQ(c.joins_computed, 6u);
-  EXPECT_EQ(c.joins_halved, 3u);
-  EXPECT_GT(c.cache_misses, 0u);
-  EXPECT_EQ(c.table_builds, 0u);
-
-  // A second batch over the same views is served from the artefact caches.
-  const size_t misses_before = c.cache_misses;
-  engine.JoinAllPairs(views, 10);
-  const MpEngineCounters c2 = engine.counters();
-  EXPECT_EQ(c2.cache_misses, misses_before);
-  EXPECT_GT(c2.cache_hits, c.cache_hits);
-
-  engine.ResetCounters();
-  const MpEngineCounters zero = engine.counters();
-  EXPECT_EQ(zero.joins_computed, 0u);
-  EXPECT_EQ(zero.cache_hits, 0u);
-
-  // Default path: the batch builds one immutable artifact table instead of
-  // touching the per-entry caches, and a repeat batch reuses it.
+  // The batch builds one immutable artifact table, and a repeat batch
+  // reuses it.
   MatrixProfileEngine tabled(2);
   tabled.JoinAllPairs(views, 10);
   const MpEngineCounters t1 = tabled.counters();
+  // 3 unordered pairs serve all 6 directed joins of the historic code.
   EXPECT_EQ(t1.qt_sweeps, 3u);
   EXPECT_EQ(t1.joins_computed, 6u);
+  EXPECT_EQ(t1.joins_halved, 3u);
   EXPECT_EQ(t1.table_builds, 1u);
   EXPECT_EQ(t1.table_reuses, 0u);
-  EXPECT_EQ(t1.cache_hits, 0u);
-  EXPECT_EQ(t1.cache_misses, 0u);
 
   tabled.JoinAllPairs(views, 10);
   const MpEngineCounters t2 = tabled.counters();
@@ -237,6 +214,11 @@ TEST(MpEngineCountersTest, PairSymmetryHalvesJoins) {
   const MpEngineCounters t3 = tabled.counters();
   EXPECT_EQ(t3.table_builds, 2u);
   EXPECT_EQ(t3.table_reuses, 1u);
+
+  tabled.ResetCounters();
+  const MpEngineCounters zero = tabled.counters();
+  EXPECT_EQ(zero.joins_computed, 0u);
+  EXPECT_EQ(zero.table_builds, 0u);
 }
 
 TEST(MpEngineInstanceProfileTest, EngineMatchesSerialConstruction) {
@@ -300,6 +282,75 @@ TEST(MpEngineCandidateGenTest, OutputIndependentOfThreadCount) {
       }
     }
   }
+}
+
+// Ad-hoc joins retain nothing: rewriting a buffer in place between two
+// joins on one engine must give the profile of the NEW values. Buffers
+// keep their addresses and lengths, which is exactly what an
+// address-keyed cache would mistake for the old contents.
+TEST(MpEngineStorageReuseTest, AdHocJoinsSeeRewrittenStorage) {
+  struct Shape {
+    size_t len_a, len_b, window;
+  };
+  // Naive-seed and FFT-seed regimes.
+  for (const Shape& shape : {Shape{120, 96, 12}, Shape{1040, 1024, 512}}) {
+    std::vector<double> a(shape.len_a);
+    std::vector<double> b(shape.len_b);
+    Rng rng(shape.window);
+    const auto refill = [&] {
+      const std::vector<double> fresh_a = RandomWalk(rng, a.size());
+      const std::vector<double> fresh_b = RandomWalk(rng, b.size());
+      std::copy(fresh_a.begin(), fresh_a.end(), a.begin());
+      std::copy(fresh_b.begin(), fresh_b.end(), b.begin());
+    };
+    const size_t w = shape.window;
+    for (size_t m = 0; m < kMetricCount; ++m) {
+      const MetricId metric = static_cast<MetricId>(m);
+      MatrixProfileEngine engine(2);
+      for (int round = 0; round < 2; ++round) {
+        refill();
+        const MatrixProfile self = engine.SelfJoin(a, w, 0, metric);
+        const MatrixProfile ab = engine.AbJoin(a, b, w, metric);
+        const PairJoin both = engine.AbJoinBoth(a, b, w, metric);
+        // A fresh engine has never seen these buffers.
+        MatrixProfileEngine fresh(1);
+        ExpectProfilesIdentical(fresh.SelfJoin(a, w, 0, metric), self,
+                                "self");
+        ExpectProfilesIdentical(fresh.AbJoin(a, b, w, metric), ab, "ab");
+        const PairJoin fresh_both = fresh.AbJoinBoth(a, b, w, metric);
+        ExpectProfilesIdentical(fresh_both.a_vs_b, both.a_vs_b, "both a");
+        ExpectProfilesIdentical(fresh_both.b_vs_a, both.b_vs_a, "both b");
+        if (metric == MetricId::kZNormEuclidean) {
+          ExpectProfilesIdentical(SelfJoinProfile(a, w), self, "self kernel");
+          ExpectProfilesIdentical(AbJoinProfile(a, b, w), ab, "ab kernel");
+          ExpectProfilesIdentical(AbJoinProfile(b, a, w), both.b_vs_a,
+                                  "ba kernel");
+        }
+      }
+    }
+  }
+}
+
+TEST(MpEngineStorageReuseTest, AdHocJoinsLeaveRetainedTableAlone) {
+  Rng rng(41);
+  std::vector<std::vector<double>> series;
+  for (size_t n : {70u, 80u, 90u}) series.push_back(RandomWalk(rng, n));
+  std::vector<std::span<const double>> views(series.begin(), series.end());
+
+  MatrixProfileEngine engine(2);
+  engine.JoinAllPairs(views, 10);
+  engine.SelfJoin(views[0], 10);
+  engine.AbJoin(views[0], views[1], 10);
+  engine.AbJoinBoth(views[1], views[2], 10);
+  MpEngineCounters c = engine.counters();
+  EXPECT_EQ(c.table_builds, 1u);
+  EXPECT_EQ(c.table_reuses, 0u);
+
+  // The slot still holds the batch's table.
+  engine.JoinAllPairs(views, 10);
+  c = engine.counters();
+  EXPECT_EQ(c.table_builds, 1u);
+  EXPECT_EQ(c.table_reuses, 1u);
 }
 
 }  // namespace

@@ -205,5 +205,27 @@ TEST(IpsClassifierTest, AccuracyRoutesThroughPredictBatch) {
   EXPECT_DOUBLE_EQ(clf.Accuracy(data.test), expected);
 }
 
+// Naive pruning and exact utility scoring batch their distances through
+// MinForPairs over temporary candidate copies. A second Fit in the same
+// process reuses freed storage at the same addresses, which must not
+// change what the fit discovers.
+TEST(IpsClassifierTest, RepeatExactFitsDiscoverTheSameShapelets) {
+  const TrainTestSplit data = MakeData("pipe_exact_refit", 3, 30, 6, 96);
+  IpsOptions o = FastOptions();
+  o.use_dabf_pruning = false;
+  o.utility_mode = UtilityMode::kExactWithCr;
+  IpsClassifier first(o);
+  first.Fit(data.train);
+  for (int rep = 0; rep < 3; ++rep) {
+    IpsClassifier again(o);
+    again.Fit(data.train);
+    ASSERT_EQ(first.shapelets().size(), again.shapelets().size());
+    for (size_t i = 0; i < first.shapelets().size(); ++i) {
+      EXPECT_EQ(first.shapelets()[i].values, again.shapelets()[i].values)
+          << "rep " << rep << " shapelet " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ips
