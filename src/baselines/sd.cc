@@ -47,10 +47,8 @@ std::vector<Subsequence> DiscoverSdShapelets(const DatasetView& train,
   SdStats& s = stats != nullptr ? *stats : local;
   s = SdStats{};
 
-  // One engine per run: the redundancy scans below reuse representative-
-  // side artefacts through its caches. Everything it caches (the
-  // representatives) outlives the scope that cached it, and the engine
-  // dies with this call.
+  // One serial engine per run, shared by the radius estimates, the
+  // redundancy scans and the split-quality scoring below.
   DistanceEngine engine(1);
 
   const std::vector<size_t> lengths =
@@ -86,13 +84,12 @@ std::vector<Subsequence> DiscoverSdShapelets(const DatasetView& train,
         ++s.candidates_enumerated;
         Subsequence cand =
             ExtractSubsequence(t, off, window, static_cast<int>(i));
-        // cache_b: accepted representatives recur across the whole scan;
-        // the probe side is never cached (most candidates are discarded).
         const bool redundant = std::any_of(
             representatives.begin(), representatives.end(),
             [&](const Subsequence& rep) {
-              return engine.SubsequenceMin(cand.view(), rep.view(),
-                                           /*cache_b=*/true) <= radius;
+              return engine.SubsequenceMinMetric(
+                         cand.view(), rep.view(),
+                         MetricId::kRawSquaredEuclidean) <= radius;
             });
         if (redundant) continue;
         representatives.push_back(std::move(cand));

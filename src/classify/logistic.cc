@@ -8,16 +8,6 @@
 
 namespace ips {
 
-namespace {
-
-double SigmoidStable(double x) {
-  if (x >= 0.0) return 1.0 / (1.0 + std::exp(-x));
-  const double e = std::exp(x);
-  return e / (1.0 + e);
-}
-
-}  // namespace
-
 void LogisticRegression::Fit(const LabeledMatrix& data) {
   IPS_CHECK(!data.x.empty());
   const size_t n = data.size();

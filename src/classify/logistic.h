@@ -6,6 +6,7 @@
 #ifndef IPS_CLASSIFY_LOGISTIC_H_
 #define IPS_CLASSIFY_LOGISTIC_H_
 
+#include <cmath>
 #include <cstdint>
 
 #include <vector>
@@ -13,6 +14,15 @@
 #include "classify/classifier.h"
 
 namespace ips {
+
+/// The logistic function 1 / (1 + e^-x), branched so the exponential is
+/// only ever taken of a non-positive argument and cannot overflow. Shared
+/// by LogisticRegression and LTS.
+inline double SigmoidStable(double x) {
+  if (x >= 0.0) return 1.0 / (1.0 + std::exp(-x));
+  const double e = std::exp(x);
+  return e / (1.0 + e);
+}
 
 /// Logistic-regression hyper-parameters.
 struct LogisticOptions {

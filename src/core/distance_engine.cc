@@ -18,8 +18,8 @@ namespace ips {
 
 namespace {
 
-// Scratch for the single-pair entry points; batch calls hand each worker a
-// workspace from a per-call pool instead.
+// Scratch for SubsequenceMinMetric and TransformOne; the parallel batch
+// calls hand each worker a workspace from a per-call pool instead.
 DistanceWorkspace& LocalWorkspace() {
   static thread_local DistanceWorkspace ws;
   return ws;
@@ -224,13 +224,12 @@ void DistanceEngine::BumpEab(MetricId metric, const simd::EabCounters& c) {
 // ------------------------------------------------------------------ kernels
 
 // Fills ws.dots with the sliding dot products of `query` against `series`,
-// replicating the naive/FFT dispatch of core/distance.cc exactly. When a
-// side names a cache its forward FFT is fetched from (or inserted into)
-// it; the arithmetic is identical either way.
+// replicating the naive/FFT dispatch of core/distance.cc exactly. With a
+// cache, both forward FFTs are fetched from (or inserted into) it; the
+// arithmetic is identical either way.
 void DistanceEngine::SlidingDotsInto(std::span<const double> query,
                                      std::span<const double> series,
-                                     ArtifactCache* cache_query,
-                                     ArtifactCache* cache_series,
+                                     ArtifactCache* cache,
                                      DistanceWorkspace& ws) {
   const size_t m = query.size();
   const size_t n = series.size();
@@ -244,13 +243,13 @@ void DistanceEngine::SlidingDotsInto(std::span<const double> query,
 
   const size_t padded = NextPowerOfTwo(n + m);
   const std::vector<std::complex<double>>* fs =
-      CachedFft(series, padded, /*reversed=*/false, cache_series);
+      CachedFft(series, padded, /*reversed=*/false, cache);
   if (fs == nullptr) {
     ForwardFftInto(series, padded, /*reversed=*/false, ws.fft_sig);
     fs = &ws.fft_sig;
   }
   const std::vector<std::complex<double>>* fq =
-      CachedFft(query, padded, /*reversed=*/true, cache_query);
+      CachedFft(query, padded, /*reversed=*/true, cache);
   if (fq == nullptr) {
     ForwardFftInto(query, padded, /*reversed=*/true, ws.fft_qry);
     fq = &ws.fft_qry;
@@ -266,16 +265,13 @@ void DistanceEngine::SlidingDotsInto(std::span<const double> query,
 
 double DistanceEngine::DotMinImpl(std::span<const double> a,
                                   std::span<const double> b,
-                                  ArtifactCache* cache_a,
-                                  ArtifactCache* cache_b,
+                                  ArtifactCache* cache,
                                   const MetricPolicy& policy,
                                   DistanceWorkspace& ws, size_t seed,
                                   size_t* argmin_out) {
   const bool a_shorter = a.size() <= b.size();
   const std::span<const double> query = a_shorter ? a : b;
   const std::span<const double> series = a_shorter ? b : a;
-  ArtifactCache* const cache_q = a_shorter ? cache_a : cache_b;
-  ArtifactCache* const cache_s = a_shorter ? cache_b : cache_a;
   const size_t m = query.size();
   const size_t n = series.size();
   IPS_CHECK(m >= 1);
@@ -293,7 +289,7 @@ double DistanceEngine::DotMinImpl(std::span<const double> a,
 
   double qq;
   const double* qpre = nullptr;
-  if (const std::vector<double>* p = CachedPrefix(query, cache_q)) {
+  if (const std::vector<double>* p = CachedPrefix(query, cache)) {
     qq = p->back();
     qpre = p->data();
   } else if (eab && policy.id == MetricId::kCosine) {
@@ -307,7 +303,7 @@ double DistanceEngine::DotMinImpl(std::span<const double> a,
     for (double v : query) qq += v * v;
   }
 
-  const std::vector<double>* sq = CachedPrefix(series, cache_s);
+  const std::vector<double>* sq = CachedPrefix(series, cache);
   if (sq == nullptr) {
     PrefixSquaresInto(series, ws.prefix);
     sq = &ws.prefix;
@@ -334,7 +330,7 @@ double DistanceEngine::DotMinImpl(std::span<const double> a,
     // Fall through to the dense path (identical result either way).
   }
 
-  SlidingDotsInto(query, series, cache_q, cache_s, ws);
+  SlidingDotsInto(query, series, cache, ws);
 
   MetricProfileArgs args;
   args.dots = ws.dots.data();
@@ -345,54 +341,14 @@ double DistanceEngine::DotMinImpl(std::span<const double> a,
   return policy.kernels.min_from_dots(args);
 }
 
-void DistanceEngine::DotProfileImpl(std::span<const double> query,
-                                    std::span<const double> series,
-                                    ArtifactCache* cache_query,
-                                    ArtifactCache* cache_series,
-                                    const MetricPolicy& policy,
-                                    DistanceWorkspace& ws,
-                                    std::vector<double>& out) {
-  const size_t m = query.size();
-  const size_t n = series.size();
-  IPS_CHECK(m >= 1);
-  IPS_CHECK(n >= m);
-  BumpProfiles(policy.id);
-
-  double qq;
-  if (const std::vector<double>* p = CachedPrefix(query, cache_query)) {
-    qq = p->back();
-  } else {
-    qq = 0.0;
-    for (double v : query) qq += v * v;
-  }
-  const std::vector<double>* sq = CachedPrefix(series, cache_series);
-  if (sq == nullptr) {
-    PrefixSquaresInto(series, ws.prefix);
-    sq = &ws.prefix;
-  }
-  SlidingDotsInto(query, series, cache_query, cache_series, ws);
-
-  out.resize(n - m + 1);
-  MetricProfileArgs args;
-  args.dots = ws.dots.data();
-  args.count = out.size();
-  args.window = m;
-  args.qq = qq;
-  args.sqp = sq->data();
-  policy.kernels.profile_from_dots(args, out.data());
-}
-
 double DistanceEngine::ZNormMinImpl(std::span<const double> a,
                                     std::span<const double> b,
-                                    ArtifactCache* cache_a,
-                                    ArtifactCache* cache_b,
+                                    ArtifactCache* cache,
                                     DistanceWorkspace& ws, size_t seed,
                                     size_t* argmin_out) {
   const bool a_shorter = a.size() <= b.size();
   const std::span<const double> query = a_shorter ? a : b;
   const std::span<const double> series = a_shorter ? b : a;
-  ArtifactCache* const cache_q = a_shorter ? cache_a : cache_b;
-  ArtifactCache* const cache_s = a_shorter ? cache_b : cache_a;
   const size_t m = query.size();
   const size_t n = series.size();
   IPS_CHECK(m >= 1);
@@ -403,22 +359,22 @@ double DistanceEngine::ZNormMinImpl(std::span<const double> a,
                    policy.eab_profitable &&
                    (m < kFftCutoff || !ShouldUseFftSlidingProducts(m, n));
 
-  const RollingStats* stats = CachedStats(series, m, cache_s);
+  const RollingStats* stats = CachedStats(series, m, cache);
   RollingStats local_stats;
   if (stats == nullptr) {
     local_stats = ComputeRollingStats(series, m);
     stats = &local_stats;
   }
 
-  // Z-normalised query: from the cache when the query side is cached,
-  // otherwise into scratch (same operations as ZNormalize, so bitwise
-  // identical). The value/square sums only feed the early-abandon bound
-  // arithmetic, never a returned distance.
+  // Z-normalised query: from the cache when there is one, otherwise into
+  // scratch (same operations as ZNormalize, so bitwise identical). The
+  // value/square sums only feed the early-abandon bound arithmetic, never
+  // a returned distance.
   std::span<const double> q;
   bool query_flat;
   double zq_sum = 0.0;
   double zq_sumsq = 0.0;
-  if (const ZnQuery* zq = CachedZnQuery(query, cache_q)) {
+  if (const ZnQuery* zq = CachedZnQuery(query, cache)) {
     q = zq->values;
     query_flat = zq->flat;
     zq_sum = zq->sum;
@@ -438,7 +394,7 @@ double DistanceEngine::ZNormMinImpl(std::span<const double> a,
   }
 
   if (eab) {
-    const std::vector<double>* sq = CachedPrefix(series, cache_s);
+    const std::vector<double>* sq = CachedPrefix(series, cache);
     if (sq == nullptr) {
       PrefixSquaresInto(series, ws.prefix);
       sq = &ws.prefix;
@@ -464,78 +420,22 @@ double DistanceEngine::ZNormMinImpl(std::span<const double> a,
     }
   }
 
-  // The FFT of the z-normalised query is only cacheable when the values
-  // live in the cached ZnQuery entry (a stable address).
-  SlidingDotsInto(q, series, cache_q, cache_s, ws);
+  // With a cache, q is the cached ZnQuery entry's values (a stable
+  // address), so the FFT of the z-normalised query is cacheable too.
+  SlidingDotsInto(q, series, cache, ws);
 
   return simd::ZNormMinFromDots(ws.dots.data(), stats->stds.data(), n - m + 1,
                                 m, query_flat);
 }
 
-void DistanceEngine::ZNormProfileImpl(std::span<const double> query,
-                                      std::span<const double> series,
-                                      ArtifactCache* cache_query,
-                                      ArtifactCache* cache_series,
-                                      DistanceWorkspace& ws,
-                                      std::vector<double>& out) {
-  const size_t m = query.size();
-  const size_t n = series.size();
-  IPS_CHECK(m >= 1);
-  IPS_CHECK(n >= m);
-  BumpProfiles(MetricId::kZNormEuclidean);
-
-  const RollingStats* stats = CachedStats(series, m, cache_series);
-  RollingStats local_stats;
-  if (stats == nullptr) {
-    local_stats = ComputeRollingStats(series, m);
-    stats = &local_stats;
-  }
-
-  std::span<const double> q;
-  bool query_flat;
-  if (const ZnQuery* zq = CachedZnQuery(query, cache_query)) {
-    q = zq->values;
-    query_flat = zq->flat;
-  } else {
-    ws.znorm_query.assign(query.begin(), query.end());
-    ZNormalizeInPlace(ws.znorm_query);
-    q = ws.znorm_query;
-    query_flat = std::all_of(q.begin(), q.end(),
-                             [](double v) { return v == 0.0; });
-  }
-
-  SlidingDotsInto(q, series, cache_query, cache_series, ws);
-
-  out.resize(n - m + 1);
-  simd::ZNormProfileFromDots(ws.dots.data(), stats->stds.data(), out.size(),
-                             m, query_flat, out.data());
-}
-
 double DistanceEngine::MinImpl(std::span<const double> a,
-                               std::span<const double> b,
-                               ArtifactCache* cache_a, ArtifactCache* cache_b,
-                               MetricId metric,
-                               DistanceWorkspace& ws, size_t seed,
-                               size_t* argmin_out) {
+                               std::span<const double> b, ArtifactCache* cache,
+                               MetricId metric, DistanceWorkspace& ws,
+                               size_t seed, size_t* argmin_out) {
   if (metric == MetricId::kZNormEuclidean) {
-    return ZNormMinImpl(a, b, cache_a, cache_b, ws, seed, argmin_out);
+    return ZNormMinImpl(a, b, cache, ws, seed, argmin_out);
   }
-  return DotMinImpl(a, b, cache_a, cache_b, GetMetric(metric), ws, seed,
-                    argmin_out);
-}
-
-void DistanceEngine::ProfileImpl(std::span<const double> query,
-                                 std::span<const double> series,
-                                 ArtifactCache* cache_query,
-                                 ArtifactCache* cache_series,
-                                 MetricId metric, DistanceWorkspace& ws,
-                                 std::vector<double>& out) {
-  if (metric == MetricId::kZNormEuclidean) {
-    ZNormProfileImpl(query, series, cache_query, cache_series, ws, out);
-    return;
-  }
-  DotProfileImpl(query, series, cache_query, cache_series, GetMetric(metric),
-                 ws, out);
+  return DotMinImpl(a, b, cache, GetMetric(metric), ws, seed, argmin_out);
 }
 
 // ------------------------------------------------------------- parallelism
@@ -557,57 +457,10 @@ void DistanceEngine::ParallelItems(size_t count, Fn&& fn) {
 
 // -------------------------------------------------------------- public API
 
-double DistanceEngine::SubsequenceMin(std::span<const double> a,
-                                      std::span<const double> b,
-                                      bool cache_b) {
-  return DotMinImpl(a, b, /*cache_a=*/nullptr, cache_b ? &cache_ : nullptr,
-                    GetMetric(MetricId::kRawSquaredEuclidean),
-                    LocalWorkspace());
-}
-
-double DistanceEngine::SubsequenceMinZNorm(std::span<const double> a,
-                                           std::span<const double> b,
-                                           bool cache_b) {
-  return ZNormMinImpl(a, b, /*cache_a=*/nullptr, cache_b ? &cache_ : nullptr,
-                      LocalWorkspace());
-}
-
 double DistanceEngine::SubsequenceMinMetric(std::span<const double> a,
                                             std::span<const double> b,
-                                            MetricId metric, bool cache_b) {
-  return MinImpl(a, b, /*cache_a=*/nullptr, cache_b ? &cache_ : nullptr,
-                 metric, LocalWorkspace());
-}
-
-std::vector<double> DistanceEngine::ProfileAgainstSeries(
-    std::span<const double> query, std::span<const double> series,
-    MetricId metric) {
-  std::vector<double> out;
-  ProfileImpl(query, series, /*cache_query=*/nullptr,
-              /*cache_series=*/nullptr, metric, LocalWorkspace(), out);
-  return out;
-}
-
-std::vector<std::vector<double>> DistanceEngine::ProfileAgainstDataset(
-    std::span<const double> query, const DatasetView& data, MetricId metric) {
-  IPS_SPAN("dist_profile_batch");
-  std::vector<std::vector<double>> out(data.size());
-  ParallelItems(data.size(), [&](size_t i, DistanceWorkspace& ws) {
-    ProfileImpl(query, data.At(i).view(), /*cache_query=*/nullptr, &cache_,
-                metric, ws, out[i]);
-  });
-  return out;
-}
-
-std::vector<double> DistanceEngine::MinAgainstDataset(
-    std::span<const double> query, const DatasetView& data, MetricId metric) {
-  IPS_SPAN("dist_min_batch");
-  std::vector<double> out(data.size());
-  ParallelItems(data.size(), [&](size_t i, DistanceWorkspace& ws) {
-    out[i] = MinImpl(query, data.At(i).view(), /*cache_a=*/nullptr, &cache_,
-                     metric, ws);
-  });
-  return out;
+                                            MetricId metric) {
+  return MinImpl(a, b, /*cache=*/nullptr, metric, LocalWorkspace());
 }
 
 std::vector<double> DistanceEngine::MinForPairs(
@@ -621,8 +474,7 @@ std::vector<double> DistanceEngine::MinForPairs(
   std::vector<double> out(pairs.size());
   ParallelItems(pairs.size(), [&](size_t t, DistanceWorkspace& ws) {
     const auto [qi, si] = pairs[t];
-    out[t] = MinImpl(views[qi], views[si], &call_cache, &call_cache, metric,
-                     ws);
+    out[t] = MinImpl(views[qi], views[si], &call_cache, metric, ws);
   });
   return out;
 }
@@ -664,6 +516,8 @@ std::vector<std::vector<double>> DistanceEngine::TransformBatch(
     MetricId metric) {
   IPS_CHECK(!shapelets.empty());
   IPS_SPAN("dist_transform_batch");
+  // Call-local artefacts, as in MinForPairs.
+  ArtifactCache call_cache;
   std::vector<std::vector<double>> rows(data.size());
   // Chunk-granular streaming: one chunk of an out-of-core view is resident
   // at a time (the in-RAM default is a single chunk, i.e. the historic
@@ -685,9 +539,8 @@ std::vector<std::vector<double>> DistanceEngine::TransformBatch(
       const std::span<const double> series = chunk[k].view();
       for (size_t s = 0; s < shapelets.size(); ++s) {
         // Argument order matches TransformSeries: (series, shapelet).
-        row[s] = MinImpl(series, shapelets[s].view(), &cache_, &cache_,
-                         metric, ws, ws.eab_seed_hints[s],
-                         &ws.eab_seed_hints[s]);
+        row[s] = MinImpl(series, shapelets[s].view(), &call_cache, metric,
+                         ws, ws.eab_seed_hints[s], &ws.eab_seed_hints[s]);
       }
     });
   });
@@ -698,11 +551,11 @@ std::vector<double> DistanceEngine::TransformOne(
     std::span<const double> series, const std::vector<Subsequence>& shapelets,
     MetricId metric) {
   IPS_CHECK(!shapelets.empty());
+  ArtifactCache call_cache;
   DistanceWorkspace& ws = LocalWorkspace();
   std::vector<double> row(shapelets.size());
   for (size_t s = 0; s < shapelets.size(); ++s) {
-    row[s] = MinImpl(series, shapelets[s].view(), /*cache_a=*/nullptr,
-                     &cache_, metric, ws);
+    row[s] = MinImpl(series, shapelets[s].view(), &call_cache, metric, ws);
   }
   return row;
 }
@@ -727,26 +580,6 @@ void DistanceEngine::ResetCounters() {
   eab_lb_pruned_.store(0, std::memory_order_relaxed);
   eab_abandoned_.store(0, std::memory_order_relaxed);
   eab_full_.store(0, std::memory_order_relaxed);
-}
-
-void DistanceEngine::ClearCaches() {
-  {
-    std::lock_guard<std::mutex> lock(cache_.prefix_mu);
-    cache_.prefix.clear();
-  }
-  {
-    std::lock_guard<std::mutex> lock(cache_.stats_mu);
-    cache_.stats.clear();
-  }
-  {
-    std::lock_guard<std::mutex> lock(cache_.fft_mu);
-    cache_.fft_series.clear();
-    cache_.fft_query.clear();
-  }
-  {
-    std::lock_guard<std::mutex> lock(cache_.znq_mu);
-    cache_.znq.clear();
-  }
 }
 
 }  // namespace ips

@@ -11,32 +11,29 @@
 // all of that, the way the matrix-profile line of work amortises
 // normalisation statistics across all queries:
 //
-//  * a cache of per-series artefacts -- prefix sums of squares, RollingStats
-//    keyed by (series, window), forward FFTs keyed by (series, padded size)
-//    and z-normalised queries -- shared across every pair of a batch;
+//  * a call-local cache of per-series artefacts -- prefix sums of squares,
+//    RollingStats keyed by (series, window), forward FFTs keyed by
+//    (series, padded size) and z-normalised queries -- shared across every
+//    pair of one batch call;
 //  * reusable per-thread workspaces, so the radix-2 FFT path and the naive
 //    dot-product path stop allocating per call;
-//  * batched APIs (pairwise candidate distances, query x dataset profiles,
-//    whole-dataset shapelet transforms) that shard over ParallelFor with
-//    one output slot per work item, so results are deterministic -- and
-//    bitwise identical to the serial core/distance.h kernels -- regardless
-//    of thread count.
+//  * batched APIs (pairwise candidate distances, whole-dataset shapelet
+//    transforms) that shard over ParallelFor with one output slot per work
+//    item, so results are deterministic -- and bitwise identical to the
+//    serial core/distance.h kernels -- regardless of thread count.
 //
 // Thread-safety contract: all public methods may be called concurrently
-// from any number of threads on the same engine. The artefact caches are
-// mutex-guarded; cache fills are pure functions of the series bytes, so a
-// racing double-compute yields identical values and first-insert wins.
-// Batch calls create their worker scratch per call; single-pair calls use
-// thread-local scratch.
+// from any number of threads on the same engine. A batch call's artefact
+// cache is mutex-guarded; cache fills are pure functions of the series
+// bytes, so a racing double-compute yields identical values and
+// first-insert wins. Parallel batch calls create their worker scratch per
+// call; SubsequenceMinMetric and TransformOne use thread-local scratch.
 //
-// Lifetime contract: the engine's long-lived artefacts are keyed by the
-// address and length of the series data. Only arguments the API documents
-// as cacheable are ever inserted or looked up (temporary queries never
-// are), and callers that re-fit against new data must ClearCaches() first
-// -- the classifiers in this codebase do so at the top of Fit().
-// MinForPairs never touches them: it caches its views' artefacts in a
-// call-local store, so its views may be temporaries whose storage is
-// reused between calls.
+// Lifetime contract: the engine keeps no artefact between calls. A batch
+// call keys its cache on the address and length of its inputs, which is
+// sound because every input is immutable for the duration of the call;
+// the cache dies when the call returns, so callers may free or rewrite
+// their storage between calls. Single-pair calls cache nothing.
 
 #ifndef IPS_CORE_DISTANCE_ENGINE_H_
 #define IPS_CORE_DISTANCE_ENGINE_H_
@@ -59,8 +56,9 @@
 namespace ips {
 
 /// Per-thread scratch buffers. Owned by the engine's batch calls (one per
-/// worker) or by thread-local storage for single-pair calls; reused across
-/// kernel invocations so the hot path performs no allocations after warmup.
+/// worker) or by thread-local storage for SubsequenceMinMetric and
+/// TransformOne; reused across kernel invocations so the hot path performs
+/// no allocations after warmup.
 struct DistanceWorkspace {
   std::vector<double> prefix;                 ///< prefix sums of squares
   std::vector<double> dots;                   ///< sliding dot products
@@ -118,54 +116,20 @@ class DistanceEngine {
 
   // ------------------------------------------------------------ single pair
 
-  /// SubsequenceDistance(a, b), bitwise identical, with scratch reuse.
-  /// `cache_b` additionally caches b's artefacts across calls; only pass
-  /// true when b outlives the engine's cache (e.g. a classifier member).
-  double SubsequenceMin(std::span<const double> a, std::span<const double> b,
-                        bool cache_b = false);
-
-  /// SubsequenceDistanceZNorm(a, b), bitwise identical, with scratch reuse.
-  double SubsequenceMinZNorm(std::span<const double> a,
-                             std::span<const double> b, bool cache_b = false);
-
   /// SubsequenceDistanceMetric(a, b, metric), bitwise identical, with
-  /// scratch reuse. The metric-generic cousin of the two entry points above
-  /// (and exactly them for their ids).
+  /// scratch reuse (SubsequenceDistance for kRawSquaredEuclidean,
+  /// SubsequenceDistanceZNorm for kZNormEuclidean).
   double SubsequenceMinMetric(std::span<const double> a,
-                              std::span<const double> b, MetricId metric,
-                              bool cache_b = false);
+                              std::span<const double> b, MetricId metric);
 
   // ---------------------------------------------------------------- batched
-
-  /// DistanceProfileMetric(query, series, metric), bitwise identical. The
-  /// default keeps the historic raw-profile behaviour.
-  std::vector<double> ProfileAgainstSeries(
-      std::span<const double> query, std::span<const double> series,
-      MetricId metric = MetricId::kRawSquaredEuclidean);
-
-  /// Distance profile of `query` against every series of `data` under
-  /// `metric`; out[i] == DistanceProfileMetric(query, data[i], metric)
-  /// (query must be no longer than the shortest series). Parallel over
-  /// series.
-  std::vector<std::vector<double>> ProfileAgainstDataset(
-      std::span<const double> query, const DatasetView& data,
-      MetricId metric = MetricId::kRawSquaredEuclidean);
-
-  /// out[i] == SubsequenceDistanceMetric(query, data[i].view(), metric).
-  /// The argument order matches the serial call sites (query first), so
-  /// results are bitwise identical to them. Parallel over series; `data`'s
-  /// artefacts are cached, the query's are not (it may be a temporary).
-  std::vector<double> MinAgainstDataset(
-      std::span<const double> query, const DatasetView& data,
-      MetricId metric = MetricId::kRawSquaredEuclidean);
 
   /// dist[t] == SubsequenceDistanceMetric(views[pairs[t].first],
   /// views[pairs[t].second], metric) for every work item, computed in
   /// parallel. Each view's artefacts are computed once per call and shared
-  /// by every pair that touches it; nothing outlives the call, so `views`
-  /// may be temporaries. The building block of the pairwise and matrix
-  /// APIs; call sites with bespoke pair structure (utility scoring, naive
-  /// pruning) drive it directly.
+  /// by every pair that touches it. The building block of the pairwise and
+  /// matrix APIs; call sites with bespoke pair structure (utility scoring,
+  /// naive pruning) drive it directly.
   std::vector<double> MinForPairs(
       const std::vector<std::span<const double>>& views,
       const std::vector<IndexPair>& pairs,
@@ -188,13 +152,15 @@ class DistanceEngine {
   /// view's resident set stays one chunk; for in-RAM data the default
   /// single chunk makes this the historic whole-batch parallel loop.
   /// Per-series work is independent, so chunking only reorders visits --
-  /// rows are bitwise identical for any chunking and thread count.
+  /// rows are bitwise identical for any chunking and thread count. Each
+  /// shapelet's artefacts are computed once per call.
   std::vector<std::vector<double>> TransformBatch(
       const DatasetView& data, const std::vector<Subsequence>& shapelets,
       MetricId metric);
 
-  /// One transform row for a (possibly temporary) series. Shapelet
-  /// artefacts are cached across calls; the series' are not.
+  /// One transform row for a series: row[s] is its distance to
+  /// shapelets[s] under `metric`. The series' artefacts are computed once
+  /// per call and shared by every shapelet.
   std::vector<double> TransformOne(std::span<const double> series,
                                    const std::vector<Subsequence>& shapelets,
                                    MetricId metric);
@@ -203,11 +169,6 @@ class DistanceEngine {
 
   EngineCounters counters() const;
   void ResetCounters();
-
-  /// Drops every long-lived cached artefact. Required before reusing an
-  /// engine against data whose storage may have been freed or reused
-  /// (e.g. re-Fit).
-  void ClearCaches();
 
  private:
   struct SpanKey {
@@ -236,10 +197,10 @@ class DistanceEngine {
     double sum_sq = 0.0;
   };
 
-  /// Mutex-guarded, address-keyed artefact maps. The engine owns one for
-  /// the arguments its API documents as cacheable; MinForPairs builds a
-  /// call-local one. Fills are pure functions of the series bytes, so a
-  /// racing double-compute yields identical values and first-insert wins.
+  /// Mutex-guarded, address-keyed artefact maps, one per batch call (never
+  /// a member: it lives exactly as long as the call's immutable inputs).
+  /// Fills are pure functions of the series bytes, so a racing
+  /// double-compute yields identical values and first-insert wins.
   struct ArtifactCache {
     std::mutex prefix_mu;
     std::unordered_map<SpanKey, std::vector<double>, SpanKeyHash> prefix;
@@ -270,11 +231,6 @@ class DistanceEngine {
   const ZnQuery* CachedZnQuery(std::span<const double> q,
                                ArtifactCache* cache);
 
-  // Kernels (bitwise identical to the core/distance.h serial paths). Each
-  // side names the cache its artefacts live in (null: not cached). The
-  // query span passed to SlidingDotsInto must be address-stable whenever
-  // cache_query is set (the z-norm path passes the cached ZnQuery values
-  // in that case, never scratch).
   /// Bumps the per-engine total plus the registry total and the per-metric
   /// labelled counter ("engine.profiles.<name>").
   void BumpProfiles(MetricId metric);
@@ -283,48 +239,34 @@ class DistanceEngine {
   /// ("engine.eab.candidates.<name>" etc).
   void BumpEab(MetricId metric, const simd::EabCounters& c);
 
+  // Kernels (bitwise identical to the core/distance.h serial paths). Both
+  // operands' artefacts live in `cache` (null: computed into scratch). The
+  // query span passed to SlidingDotsInto must be address-stable whenever
+  // `cache` is set (the z-norm path passes the cached ZnQuery values in
+  // that case, never scratch).
   void SlidingDotsInto(std::span<const double> query,
-                       std::span<const double> series,
-                       ArtifactCache* cache_query,
-                       ArtifactCache* cache_series, DistanceWorkspace& ws);
+                       std::span<const double> series, ArtifactCache* cache,
+                       DistanceWorkspace& ws);
   // The dot family (raw / L2 / cosine) shares one qq + prefix-squares +
   // sliding-dots skeleton and differs only in the policy tail hook; the
-  // z-normalised family has its own impls (rolling stats, query z-norm).
-  // The min impls optionally take a best-so-far seed alignment (a visit-
-  // order hint for the early-abandon path; ignored by the dense path) and
-  // report the winning alignment back through `argmin_out` so batched
-  // transforms can seed the next series. Neither affects returned values.
+  // z-normalised family has its own impl (rolling stats, query z-norm).
+  // The impls optionally take a best-so-far seed alignment (a visit-order
+  // hint for the early-abandon path; ignored by the dense path) and report
+  // the winning alignment back through `argmin_out` so batched transforms
+  // can seed the next series. Neither affects returned values.
   double DotMinImpl(std::span<const double> a, std::span<const double> b,
-                    ArtifactCache* cache_a, ArtifactCache* cache_b,
-                    const MetricPolicy& policy,
+                    ArtifactCache* cache, const MetricPolicy& policy,
                     DistanceWorkspace& ws, size_t seed = simd::kEabNoSeed,
                     size_t* argmin_out = nullptr);
-  void DotProfileImpl(std::span<const double> query,
-                      std::span<const double> series,
-                      ArtifactCache* cache_query, ArtifactCache* cache_series,
-                      const MetricPolicy& policy,
-                      DistanceWorkspace& ws, std::vector<double>& out);
   double ZNormMinImpl(std::span<const double> a, std::span<const double> b,
-                      ArtifactCache* cache_a, ArtifactCache* cache_b,
-                      DistanceWorkspace& ws,
+                      ArtifactCache* cache, DistanceWorkspace& ws,
                       size_t seed = simd::kEabNoSeed,
                       size_t* argmin_out = nullptr);
-  void ZNormProfileImpl(std::span<const double> query,
-                        std::span<const double> series,
-                        ArtifactCache* cache_query,
-                        ArtifactCache* cache_series, DistanceWorkspace& ws,
-                        std::vector<double>& out);
-  // Metric-dispatching wrappers over the four impls above.
+  // Metric-dispatching wrapper over the two impls above.
   double MinImpl(std::span<const double> a, std::span<const double> b,
-                 ArtifactCache* cache_a, ArtifactCache* cache_b,
-                 MetricId metric,
-                 DistanceWorkspace& ws, size_t seed = simd::kEabNoSeed,
+                 ArtifactCache* cache, MetricId metric, DistanceWorkspace& ws,
+                 size_t seed = simd::kEabNoSeed,
                  size_t* argmin_out = nullptr);
-  void ProfileImpl(std::span<const double> query,
-                   std::span<const double> series, ArtifactCache* cache_query,
-                   ArtifactCache* cache_series, MetricId metric,
-                   DistanceWorkspace& ws,
-                   std::vector<double>& out);
 
   /// Runs fn(item, workspace) for every item with per-worker scratch.
   template <typename Fn>
@@ -332,8 +274,6 @@ class DistanceEngine {
 
   size_t num_threads_;
   bool early_abandon_ = true;
-
-  ArtifactCache cache_;
 
   std::atomic<size_t> profiles_{0};
   std::atomic<size_t> cache_hits_{0};

@@ -122,8 +122,7 @@ CandidatePool GenerateCandidates(const DatasetView& train,
     IPS_SPAN("instance_profile");
     ParallelFor(tasks.size(), outer, [&](size_t t) {
       Task& task = tasks[t];
-      // Per-task engine: it retains the task's latest artifact table, and
-      // the task's sample storage outlives it.
+      // Per-task engine; each join builds and drops its own artifact table.
       MatrixProfileEngine engine(inner);
       // Store-backed training views serve write-time sidecars through this,
       // replacing the engine's stats pass with bitwise-identical fills.

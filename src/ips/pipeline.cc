@@ -53,7 +53,7 @@ std::vector<Subsequence> RunDiscovery(const DatasetView& train,
   IPS_SPAN("discover");
 
   // One engine for every Def. 4 evaluation of the run: pruning and exact
-  // utility scoring share its rolling-stats/FFT caches and thread pool.
+  // utility scoring share its settings, counters and thread count.
   DistanceEngine engine(options.num_threads);
   engine.set_early_abandon(options.enable_early_abandon);
 
@@ -108,6 +108,19 @@ std::vector<Subsequence> RunDiscovery(const DatasetView& train,
   return shapelets;
 }
 
+// Shapelet-transforms `data` on a call-local engine built explicitly
+// (instead of letting ShapeletTransform default one) so the run's
+// early-abandon setting is honoured. Rows are bitwise equal to
+// TransformSeries whatever the setting.
+TransformedData Transform(const DatasetView& data,
+                          const std::vector<Subsequence>& shapelets,
+                          const IpsOptions& options) {
+  DistanceEngine engine(options.num_threads);
+  engine.set_early_abandon(options.enable_early_abandon);
+  return ShapeletTransform(data, shapelets, options.metric,
+                           options.num_threads, &engine);
+}
+
 std::unique_ptr<Classifier> MakeBackend(const IpsOptions& options) {
   switch (options.backend) {
     case TransformBackend::kLinearSvm:
@@ -145,11 +158,6 @@ IpsClassifier::IpsClassifier(IpsOptions options) : options_(options) {}
 IpsClassifier::~IpsClassifier() = default;
 
 void IpsClassifier::Fit(const DatasetView& train) {
-  // Fresh engine per fit: pointer-keyed caches must not outlive the series
-  // and shapelets they describe.
-  engine_ = std::make_unique<DistanceEngine>(options_.num_threads);
-  engine_->set_early_abandon(options_.enable_early_abandon);
-
   // One observation window over discovery AND the classifier-only stages,
   // so result_.stats attributes the whole fit and the trace nests every
   // stage under "fit".
@@ -167,10 +175,7 @@ void IpsClassifier::Fit(const DatasetView& train) {
     TransformedData transformed;
     {
       IPS_SPAN("transform");
-      transformed =
-          ShapeletTransform(train, result_.shapelets,
-                            options_.metric, options_.num_threads,
-                            engine_.get());
+      transformed = Transform(train, result_.shapelets, options_);
     }
 
     LabeledMatrix matrix;
@@ -192,8 +197,6 @@ void IpsClassifier::FitFromRunResult(const DatasetView& train,
                                      const RunResult& artifact) {
   IPS_CHECK_MSG(!artifact.shapelets.empty(), "run artifact has no shapelets");
   IPS_CHECK(!train.empty());
-  engine_ = std::make_unique<DistanceEngine>(options_.num_threads);
-  engine_->set_early_abandon(options_.enable_early_abandon);
   // The artifact's metric governs: its shapelet distances are only
   // meaningful under the metric the run was discovered with.
   options_.metric = artifact.metric;
@@ -210,9 +213,7 @@ void IpsClassifier::FitFromRunResult(const DatasetView& train,
     TransformedData transformed;
     {
       IPS_SPAN("transform");
-      transformed =
-          ShapeletTransform(train, result_.shapelets, options_.metric,
-                            options_.num_threads, engine_.get());
+      transformed = Transform(train, result_.shapelets, options_);
     }
     LabeledMatrix matrix;
     matrix.x = std::move(transformed.features);
@@ -231,27 +232,19 @@ void IpsClassifier::FitFromRunResult(const DatasetView& train,
 
 int IpsClassifier::Predict(SeriesView series) const {
   IPS_CHECK(!result_.shapelets.empty());
-  // The engine caches only shapelet-side artefacts here; the query series
-  // is never cached, so a caller-owned temporary is safe.
-  return backend_->Predict(TransformSeries(series, result_.shapelets,
-                                           options_.metric,
-                                           engine_.get()));
+  DistanceEngine engine;
+  engine.set_early_abandon(options_.enable_early_abandon);
+  return backend_->Predict(
+      TransformSeries(series, result_.shapelets, options_.metric, &engine));
 }
 
 std::vector<int> IpsClassifier::PredictBatch(
     const DatasetView& test) const {
   IPS_CHECK(!result_.shapelets.empty());
-  // A call-local engine rather than the member engine_: the batch path
-  // caches test-series artefacts too, and test sets are caller-owned
-  // temporaries that must not outlive their pointer-keyed cache entries.
-  // Built explicitly (instead of letting ShapeletTransform default one) so
-  // the run's early-abandon setting is honoured. Rows are bitwise equal to
-  // TransformSeries, so every label matches the per-series Predict loop.
-  DistanceEngine local_engine(options_.num_threads);
-  local_engine.set_early_abandon(options_.enable_early_abandon);
+  // Rows are bitwise equal to TransformSeries, so every label matches the
+  // per-series Predict loop.
   const TransformedData transformed =
-      ShapeletTransform(test, result_.shapelets, options_.metric,
-                        options_.num_threads, &local_engine);
+      Transform(test, result_.shapelets, options_);
   std::vector<int> out(transformed.features.size());
   for (size_t i = 0; i < out.size(); ++i) {
     out[i] = backend_->Predict(transformed.features[i]);

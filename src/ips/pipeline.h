@@ -27,8 +27,6 @@
 
 namespace ips {
 
-class DistanceEngine;
-
 /// Runs shapelet discovery (stages 1-5) on a training set and returns the
 /// shapelets together with the run's stats and span trace. Requires a
 /// non-empty training set whose shortest series has at least 4 points.
@@ -39,7 +37,6 @@ RunResult DiscoverShapelets(const DatasetView& train,
 /// + a configurable back-end (linear SVM by default, per §III-D).
 class IpsClassifier final : public SeriesClassifier {
  public:
-  // Both out of line: DistanceEngine is incomplete here.
   explicit IpsClassifier(IpsOptions options = {});
   ~IpsClassifier() override;
 
@@ -76,9 +73,6 @@ class IpsClassifier final : public SeriesClassifier {
  private:
   IpsOptions options_;
   std::unique_ptr<Classifier> backend_;
-  // Owns the distance caches shared by transform-time and predict-time
-  // Def. 4 evaluations. Reset (caches cleared) on every Fit.
-  std::unique_ptr<DistanceEngine> engine_;
   RunResult result_;
 };
 

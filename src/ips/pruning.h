@@ -44,10 +44,11 @@ PruneStats PruneWithDabf(CandidatePool& pool, const Dabf& dabf,
 /// that class's candidates. Same min-keep guard as the DABF variant.
 ///
 /// All Def. 4 distances run through a DistanceEngine
-/// (core/distance_engine.h): pass `engine` to share caches with other
-/// pipeline stages (its thread count then governs), or leave it null for a
-/// call-local engine sharded over `num_threads`. The pruning decisions are
-/// identical to the serial scan for every configuration.
+/// (core/distance_engine.h): pass `engine` to share its settings and
+/// counters with other pipeline stages (its thread count then governs), or
+/// leave it null for a call-local engine sharded over `num_threads`. The
+/// pruning decisions are identical to the serial scan for every
+/// configuration.
 PruneStats PruneNaive(CandidatePool& pool, size_t min_keep_motifs,
                       double majority_fraction = 0.5,
                       DistanceEngine* engine = nullptr,

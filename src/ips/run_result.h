@@ -78,9 +78,11 @@ struct IpsRunStats {
   size_t mp_cache_misses = 0;
 
   /// Tiled all-pairs join scheduler accounting (docs/memory.md): immutable
-  /// artifact tables built by the parallel precompute pass / served again
-  /// from the engine's single retained slot, entries materialised in those
-  /// tables, and pair contexts filled lock-free from a table.
+  /// artifact tables built by the parallel precompute pass, entries
+  /// materialised in those tables, and pair contexts filled lock-free from
+  /// a table. artifact_tables_reused reads the retired
+  /// "engine.artifact_table.reuses" counter, which nothing bumps any more;
+  /// it stays so the stats format is stable.
   size_t artifact_tables_built = 0;
   size_t artifact_tables_reused = 0;
   size_t artifact_entries = 0;

@@ -61,10 +61,11 @@ struct CandidateScore {
 /// otherwise.
 ///
 /// The exact modes evaluate their Def. 4 distances through a
-/// DistanceEngine: pass `engine` to reuse caches across pipeline stages
-/// (its thread count then governs), or leave it null to use a call-local
-/// engine sharded over `num_threads`. Scores are bitwise identical to the
-/// serial per-pair loops for every engine/thread configuration.
+/// DistanceEngine: pass `engine` to share its settings and counters across
+/// pipeline stages (its thread count then governs), or leave it null to use
+/// a call-local engine sharded over `num_threads`. Scores are bitwise
+/// identical to the serial per-pair loops for every engine/thread
+/// configuration.
 std::map<int, std::vector<CandidateScore>> ScoreAllCandidates(
     const CandidatePool& pool, const DatasetView& train, UtilityMode mode,
     const Dabf* dabf, DistanceEngine* engine = nullptr,

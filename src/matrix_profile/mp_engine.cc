@@ -29,11 +29,9 @@ struct MpMetrics {
   obs::Counter& joins_computed;
   obs::Counter& qt_sweeps;
   obs::Counter& joins_halved;
-  // Retained all-pairs table accounting: tables built / served again from
-  // the single slot, entries materialised per build, and pair contexts
-  // filled from a table.
+  // All-pairs table accounting: tables built, entries materialised per
+  // build, and pair contexts filled from a table.
   obs::Counter& artifact_builds;
-  obs::Counter& artifact_reuses;
   obs::Counter& artifact_entries;
   obs::Counter& artifact_reads;
   // Per-metric slice of qt_sweeps ("mp.qt_sweeps.<name>"); the total above
@@ -48,7 +46,6 @@ MpMetrics& Metrics() {
                             registry.GetCounter("mp.qt_sweeps"),
                             registry.GetCounter("mp.joins_halved"),
                             registry.GetCounter("engine.artifact_table.builds"),
-                            registry.GetCounter("engine.artifact_table.reuses"),
                             registry.GetCounter(
                                 "engine.artifact_table.entries"),
                             registry.GetCounter("engine.artifact_table.reads"),
@@ -141,22 +138,6 @@ MatrixProfileEngine::SweepContext MatrixProfileEngine::MakeContextFromTable(
   cx.exclusion = 0;
   cx.want_b = true;
   return cx;
-}
-
-bool MatrixProfileEngine::TableMatches(
-    const ArtifactTable& table, const std::vector<std::span<const double>>& views,
-    size_t window, MetricId metric) {
-  if (table.window != window || table.metric != metric ||
-      table.views.size() != views.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < views.size(); ++i) {
-    if (table.views[i].data() != views[i].data() ||
-        table.views[i].size() != views[i].size()) {
-      return false;
-    }
-  }
-  return true;
 }
 
 void MatrixProfileEngine::BuildTable(
@@ -259,29 +240,17 @@ void MatrixProfileEngine::BuildTable(
   }
 }
 
-std::shared_ptr<const ArtifactTable> MatrixProfileEngine::PrepareAllPairs(
+ArtifactTable MatrixProfileEngine::PrepareAllPairs(
     const std::vector<std::span<const double>>& views, size_t window,
     MetricId metric) {
   IPS_CHECK(window >= 2);
   for (const auto& v : views) IPS_CHECK(v.size() >= window);
-  {
-    std::lock_guard<std::mutex> lock(table_mu_);
-    if (table_ != nullptr && TableMatches(*table_, views, window, metric)) {
-      Metrics().artifact_reuses.Add(1);
-      table_reuses_.fetch_add(1, std::memory_order_relaxed);
-      return table_;
-    }
-  }
   IPS_SPAN("mp_artifact_table");
-
-  auto table = std::make_shared<ArtifactTable>();
-  BuildTable(views, window, metric, /*self_join=*/false, *table);
+  ArtifactTable table;
+  BuildTable(views, window, metric, /*self_join=*/false, table);
   Metrics().artifact_builds.Add(1);
-  Metrics().artifact_entries.Add(table->entry_count());
+  Metrics().artifact_entries.Add(table.entry_count());
   table_builds_.fetch_add(1, std::memory_order_relaxed);
-
-  std::lock_guard<std::mutex> lock(table_mu_);
-  table_ = table;
   return table;
 }
 
@@ -734,17 +703,29 @@ PairJoin MatrixProfileEngine::AbJoinBoth(std::span<const double> a,
 std::vector<PairJoin> MatrixProfileEngine::JoinAllPairs(
     const std::vector<std::span<const double>>& views, size_t window,
     MetricId metric) {
+  IPS_CHECK(window >= 2);
+  for (const auto& v : views) IPS_CHECK(v.size() >= window);
   std::vector<PairJoin> joins;
-  JoinAllPairsInto(views, window, joins, metric);
+  if (views.size() < 2) return joins;
+  IPS_SPAN("mp_join_all_pairs");
+  // Phase 0: the batch's artifacts -- one call-local immutable table built
+  // by a parallel precompute pass; every pair context reads it lock-free
+  // by index.
+  SweepAllPairs(PrepareAllPairs(views, window, metric), joins);
   return joins;
 }
 
-void MatrixProfileEngine::JoinAllPairsInto(
-    const std::vector<std::span<const double>>& views, size_t window,
-    std::vector<PairJoin>& joins, MetricId metric) {
-  IPS_CHECK(window >= 2);
-  for (const auto& v : views) IPS_CHECK(v.size() >= window);
+void MatrixProfileEngine::JoinAllPairsInto(const ArtifactTable& table,
+                                           std::vector<PairJoin>& joins) {
+  IPS_SPAN("mp_join_all_pairs");
+  SweepAllPairs(table, joins);
+}
 
+void MatrixProfileEngine::SweepAllPairs(const ArtifactTable& table,
+                                        std::vector<PairJoin>& joins) {
+  const std::vector<std::span<const double>>& views = table.views;
+  const size_t window = table.window;
+  const MetricId metric = table.metric;
   const size_t n = views.size();
   const size_t pair_count = n < 2 ? 0 : n * (n - 1) / 2;
   joins.resize(pair_count);
@@ -758,19 +739,12 @@ void MatrixProfileEngine::JoinAllPairsInto(
       }
     }
   }
-  IPS_SPAN("mp_join_all_pairs");
   sweeps_.fetch_add(pair_count, std::memory_order_relaxed);
   joins_.fetch_add(2 * pair_count, std::memory_order_relaxed);
   halved_.fetch_add(pair_count, std::memory_order_relaxed);
   BumpSweeps(pair_count, metric);
   Metrics().joins_computed.Add(2 * pair_count);
   Metrics().joins_halved.Add(pair_count);
-
-  // Phase 0: the batch's artifacts -- one immutable table built (or reused
-  // from the retained slot) by a parallel precompute pass; every pair
-  // context below reads it lock-free by index.
-  const std::shared_ptr<const ArtifactTable> table =
-      PrepareAllPairs(views, window, metric);
   Metrics().artifact_reads.Add(pair_count);
 
   // All per-call setup -- contexts, chunk bounds, the tile order, work
@@ -793,7 +767,7 @@ void MatrixProfileEngine::JoinAllPairsInto(
   std::span<size_t> parts = arena.Alloc<size_t>(pair_count);
   ParallelFor(pair_count, num_threads_, [&](size_t t) {
     SweepContext& cx = *new (&contexts[t])
-        SweepContext(MakeContextFromTable(*table, joins[t].a, joins[t].b));
+        SweepContext(MakeContextFromTable(table, joins[t].a, joins[t].b));
     parts[t] = ChunkDiagonalsInto(cx, chunks_per_pair,
                                   bounds.subspan(t * bstride, bstride)) -
                1;
@@ -904,7 +878,6 @@ MpEngineCounters MatrixProfileEngine::counters() const {
   c.qt_sweeps = sweeps_.load(std::memory_order_relaxed);
   c.joins_halved = halved_.load(std::memory_order_relaxed);
   c.table_builds = table_builds_.load(std::memory_order_relaxed);
-  c.table_reuses = table_reuses_.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -913,12 +886,6 @@ void MatrixProfileEngine::ResetCounters() {
   sweeps_.store(0, std::memory_order_relaxed);
   halved_.store(0, std::memory_order_relaxed);
   table_builds_.store(0, std::memory_order_relaxed);
-  table_reuses_.store(0, std::memory_order_relaxed);
-}
-
-void MatrixProfileEngine::ClearCaches() {
-  std::lock_guard<std::mutex> lock(table_mu_);
-  table_.reset();
 }
 
 }  // namespace ips

@@ -35,16 +35,13 @@
 // order-independent (value, index) merge rule computes.
 //
 // Thread-safety contract: all public methods may be called concurrently on
-// one engine. The retained all-pairs table is swapped under a mutex and
-// held by shared_ptr, so a running sweep never sees it change.
+// one engine; the engine holds no mutable state beyond its counters.
 //
-// Lifetime contract: the ad-hoc joins build a call-local table and retain
-// nothing, so their inputs may be freed or rewritten between calls. Only
-// the retained all-pairs slot is matched by address: JoinAllPairs and
-// PrepareAllPairs reuse it when every view's data pointer and length, the
-// window and the metric match. Callers that re-batch against freed or
-// rewritten storage must ClearCaches() first (candidate generation builds
-// one engine per sampling task, whose series outlive it).
+// Lifetime contract: the engine keeps nothing between calls. SelfJoin,
+// AbJoin, AbJoinBoth and JoinAllPairs build a call-local table, so their
+// inputs may be freed or rewritten between calls. PrepareAllPairs returns
+// a table the caller owns; it borrows the views' storage, which must stay
+// unchanged for as long as the caller feeds the table to JoinAllPairsInto.
 
 #ifndef IPS_MATRIX_PROFILE_MP_ENGINE_H_
 #define IPS_MATRIX_PROFILE_MP_ENGINE_H_
@@ -52,8 +49,6 @@
 #include <atomic>
 #include <complex>
 #include <cstddef>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -72,9 +67,8 @@ namespace ips {
 /// equal to AbJoinProfile / SelfJoinProfile.
 ///
 /// Lifetime (docs/memory.md): the table borrows the batch's series storage
-/// via spans and owns everything else. Consumers hold it by shared_ptr, so
-/// a table stays valid through its sweeps even if a new batch replaces the
-/// engine's retained copy; ClearCaches() drops the engine's reference.
+/// via spans and owns everything else. Whoever built it owns it -- a join
+/// call for its own duration, or a PrepareAllPairs caller.
 struct ArtifactTable {
   size_t window = 0;
   MetricId metric = MetricId::kZNormEuclidean;
@@ -109,8 +103,7 @@ struct MpEngineCounters {
   size_t joins_computed = 0;  ///< directed join profiles produced
   size_t qt_sweeps = 0;       ///< QT sweeps run (1 per unordered pair)
   size_t joins_halved = 0;    ///< joins served by a sweep's far side (saved)
-  size_t table_builds = 0;    ///< artifact tables built by PrepareAllPairs
-  size_t table_reuses = 0;    ///< PrepareAllPairs calls served by the slot
+  size_t table_builds = 0;    ///< all-pairs tables built by PrepareAllPairs
 };
 
 /// Both directions of one unordered AB-join: `a_vs_b` annotates windows of
@@ -182,20 +175,18 @@ class MatrixProfileEngine {
       const std::vector<std::span<const double>>& views, size_t window,
       MetricId metric = MetricId::kZNormEuclidean);
 
-  /// JoinAllPairs writing into `joins`: profiles reuse whatever capacity
-  /// `joins` already holds, so repeat batches of the same shape perform no
-  /// output allocations (the serving-loop form). Same results, bitwise.
-  void JoinAllPairsInto(const std::vector<std::span<const double>>& views,
-                        size_t window, std::vector<PairJoin>& joins,
-                        MetricId metric = MetricId::kZNormEuclidean);
+  /// JoinAllPairs over a table from PrepareAllPairs (its views, window and
+  /// metric), writing into `joins`: profiles reuse whatever capacity
+  /// `joins` already holds, so repeat batches over one held table perform
+  /// no output allocations (the serving-loop form). Same results, bitwise.
+  void JoinAllPairsInto(const ArtifactTable& table,
+                        std::vector<PairJoin>& joins);
 
-  /// Builds (or reuses) the batch's immutable artifact table in one
-  /// parallel precompute pass: per-series statistics, forward FFTs and all
-  /// ordered-pair QT seeds. The engine retains the most recent table and
-  /// JoinAllPairs reuses it when views/window/metric match, so calling
-  /// this up front moves the whole artifact cost out of the join. The
-  /// returned shared_ptr stays valid regardless of later calls.
-  std::shared_ptr<const ArtifactTable> PrepareAllPairs(
+  /// Builds the batch's immutable artifact table in one parallel
+  /// precompute pass: per-series statistics, forward FFTs and all
+  /// ordered-pair QT seeds. The caller owns the result; holding it across
+  /// JoinAllPairsInto calls moves the whole artifact cost out of the joins.
+  ArtifactTable PrepareAllPairs(
       const std::vector<std::span<const double>>& views, size_t window,
       MetricId metric = MetricId::kZNormEuclidean);
 
@@ -221,10 +212,6 @@ class MatrixProfileEngine {
 
   MpEngineCounters counters() const;
   void ResetCounters();
-
-  /// Drops the retained all-pairs table. Required before re-batching
-  /// against storage that may have been freed or rewritten.
-  void ClearCaches();
 
  private:
   /// One sweep's immutable inputs: the pair, its per-window statistics
@@ -274,12 +261,6 @@ class MatrixProfileEngine {
   SweepContext MakeContextFromTable(const ArtifactTable& table, size_t i,
                                     size_t j) const;
 
-  /// True when `table` serves exactly this batch (same series storage,
-  /// window and metric).
-  static bool TableMatches(const ArtifactTable& table,
-                           const std::vector<std::span<const double>>& views,
-                           size_t window, MetricId metric);
-
   /// Walks diagonals [diag_begin, diag_end) of the sweep, updating the
   /// partial. Diagonal indices enumerate c = index - (la - 1) for AB pairs
   /// and c = exclusion + 1 + index for self joins. Dispatches on cx.metric
@@ -322,6 +303,10 @@ class MatrixProfileEngine {
   size_t ResolveTileSize(size_t series_len, size_t window,
                          MetricId metric) const;
 
+  /// The all-pairs sweep over `table` into `joins`, shared by JoinAllPairs
+  /// and JoinAllPairsInto (which each open the batch's span around it).
+  void SweepAllPairs(const ArtifactTable& table, std::vector<PairJoin>& joins);
+
   /// Merges a partial into the sweep's output profiles (serial).
   static void MergePartial(const SweepContext& cx, const SweepPartial& partial,
                            MatrixProfile& a_out, MatrixProfile* b_out);
@@ -335,18 +320,10 @@ class MatrixProfileEngine {
   const SeriesStatsProvider* stats_provider_ = nullptr;
   size_t tile_size_ = 0;  // 0 = auto, 1 = off, >= 2 explicit
 
-  // Most recent all-pairs artifact table (single-slot: candidate
-  // generation re-joins the same sample across candidate work, and
-  // serving loops re-batch identical views). Consumers hold shared_ptrs,
-  // so replacing or clearing the slot never invalidates a running sweep.
-  mutable std::mutex table_mu_;
-  std::shared_ptr<const ArtifactTable> table_;
-
   std::atomic<size_t> joins_{0};
   std::atomic<size_t> sweeps_{0};
   std::atomic<size_t> halved_{0};
   std::atomic<size_t> table_builds_{0};
-  std::atomic<size_t> table_reuses_{0};
 };
 
 }  // namespace ips

@@ -39,18 +39,19 @@ struct TransformedData {
 /// The work is routed through a DistanceEngine (core/distance_engine.h):
 /// rolling statistics, prefix sums and FFTs are computed once per
 /// (series, window) and shared across the whole batch, sharded over
-/// `num_threads`. Pass `engine` to reuse an existing engine's caches (its
-/// thread count then governs); otherwise a call-local engine is used.
-/// Results are identical for every thread count and engine.
+/// `num_threads`. Pass `engine` to choose its settings and collect its
+/// counters (its thread count then governs); otherwise a call-local engine
+/// is used. Nothing is cached beyond the call, so `data` and `shapelets`
+/// may be rewritten between calls. Results are identical for every thread
+/// count and engine.
 TransformedData ShapeletTransform(
     const DatasetView& data, const std::vector<Subsequence>& shapelets,
     MetricId distance = MetricId::kZNormEuclidean, size_t num_threads = 1,
     DistanceEngine* engine = nullptr);
 
 /// Transforms a single series (TimeSeries converts implicitly). Pass
-/// `engine` to amortise shapelet-side artefacts (z-normalisation, FFTs)
-/// across repeated calls; the series itself is never cached, so
-/// temporaries are safe.
+/// `engine` to choose its settings (e.g. early abandoning); like
+/// ShapeletTransform, it caches nothing beyond the call.
 std::vector<double> TransformSeries(
     SeriesView series, const std::vector<Subsequence>& shapelets,
     MetricId distance = MetricId::kZNormEuclidean,

@@ -1,11 +1,11 @@
 // Allocation-regression guard for the all-pairs join hot loop
-// (docs/memory.md): a warm JoinAllPairsInto batch -- artifact table held,
-// output capacity sized, thread-local arenas grown -- must perform no
-// per-pair heap allocations, and at most a small constant number of
-// per-batch ones (span bookkeeping, pool dispatch). Counted with a global
-// operator-new override, so this binary must NOT run under ASan/TSan/MSan
-// (their allocator interposition conflicts with the override); the
-// sanitizer CI jobs build it but every case skips itself.
+// (docs/memory.md): a warm JoinAllPairsInto batch -- artifact table held
+// by the caller, output capacity sized, thread-local arenas grown -- must
+// perform no per-pair heap allocations, and at most a small constant
+// number of per-batch ones (span bookkeeping, pool dispatch). Counted with
+// a global operator-new override, so this binary must NOT run under
+// ASan/TSan/MSan (their allocator interposition conflicts with the
+// override); the sanitizer CI jobs build it but every case skips itself.
 //
 // The per-pair claim is proven by differencing two batch sizes: per-batch
 // constants cancel, so any nonzero slope is a real per-pair allocation
@@ -96,16 +96,17 @@ std::vector<std::vector<double>> MakeBatch(size_t count, size_t len) {
   return series;
 }
 
-// Allocations during one steady-state batch: warm twice (builds the
-// table, sizes the output, grows the arenas), then count the third run.
+// Allocations during one steady-state batch: prepare the table once, warm
+// twice (sizes the output, grows the arenas), then count the third run.
 size_t WarmBatchAllocs(MatrixProfileEngine& engine,
                        const std::vector<std::span<const double>>& views,
                        size_t window, std::vector<PairJoin>& joins) {
-  engine.JoinAllPairsInto(views, window, joins);
-  engine.JoinAllPairsInto(views, window, joins);
+  const ArtifactTable table = engine.PrepareAllPairs(views, window);
+  engine.JoinAllPairsInto(table, joins);
+  engine.JoinAllPairsInto(table, joins);
   g_alloc_count.store(0, std::memory_order_relaxed);
   g_alloc_counting.store(true, std::memory_order_relaxed);
-  engine.JoinAllPairsInto(views, window, joins);
+  engine.JoinAllPairsInto(table, joins);
   g_alloc_counting.store(false, std::memory_order_relaxed);
   return g_alloc_count.load(std::memory_order_relaxed);
 }
@@ -155,15 +156,16 @@ TEST(AllocRegressionTest, ArenaSlabsAreStableAcrossWarmBatches) {
   const std::vector<std::span<const double>> views(series.begin(),
                                                    series.end());
   MatrixProfileEngine engine(1);
+  const ArtifactTable table = engine.PrepareAllPairs(views, 9);
   std::vector<PairJoin> joins;
-  engine.JoinAllPairsInto(views, 9, joins);
-  engine.JoinAllPairsInto(views, 9, joins);
+  engine.JoinAllPairsInto(table, joins);
+  engine.JoinAllPairsInto(table, joins);
 
   auto& registry = obs::MetricsRegistry::Instance();
   const uint64_t slabs_before =
       registry.Snapshot().CounterValue("engine.arena.slab_allocs");
   for (int rep = 0; rep < 5; ++rep) {
-    engine.JoinAllPairsInto(views, 9, joins);
+    engine.JoinAllPairsInto(table, joins);
   }
   const uint64_t slabs_after =
       registry.Snapshot().CounterValue("engine.arena.slab_allocs");

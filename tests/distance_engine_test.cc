@@ -43,11 +43,10 @@ TEST(DistanceEngineTest, SubsequenceMinMatchesKernelBitwise) {
            {1, 1}, {5, 5}, {8, 31}, {31, 8}, {63, 200}, {64, 64}}) {
     const std::vector<double> a = RandomSeries(rng, m);
     const std::vector<double> b = RandomSeries(rng, n);
-    const double expected = SubsequenceDistance(a, b);
-    EXPECT_EQ(engine.SubsequenceMin(a, b), expected) << m << "x" << n;
-    // Cached second evaluation must agree exactly with the first.
-    EXPECT_EQ(engine.SubsequenceMin(a, b, /*cache_b=*/true), expected);
-    EXPECT_EQ(engine.SubsequenceMin(a, b, /*cache_b=*/true), expected);
+    EXPECT_EQ(engine.SubsequenceMinMetric(a, b,
+                                          MetricId::kRawSquaredEuclidean),
+              SubsequenceDistance(a, b))
+        << m << "x" << n;
   }
 }
 
@@ -60,10 +59,14 @@ TEST(DistanceEngineTest, SubsequenceMinFftPathMatchesKernelBitwise) {
   const double expected = SubsequenceDistance(query, series);
 
   DistanceEngine engine(1);
-  EXPECT_EQ(engine.SubsequenceMin(query, series), expected);
-  // With series-side FFT/prefix caching: first call fills, second call hits.
-  EXPECT_EQ(engine.SubsequenceMin(query, series, /*cache_b=*/true), expected);
-  EXPECT_EQ(engine.SubsequenceMin(query, series, /*cache_b=*/true), expected);
+  EXPECT_EQ(engine.SubsequenceMinMetric(query, series,
+                                        MetricId::kRawSquaredEuclidean),
+            expected);
+  // Within one batch call the FFT/prefix artefacts are cached: the first
+  // pair fills, the second hits.
+  const std::vector<std::span<const double>> views = {query, series};
+  EXPECT_EQ(engine.MinForPairs(views, {{0, 1}, {0, 1}}),
+            std::vector<double>({expected, expected}));
   EXPECT_GT(engine.counters().stats_cache_hits, 0u);
 }
 
@@ -74,10 +77,9 @@ TEST(DistanceEngineTest, SubsequenceMinZNormMatchesKernelBitwise) {
            {4, 24}, {16, 16}, {24, 4}, {80, 640}}) {
     const std::vector<double> a = RandomSeries(rng, m);
     const std::vector<double> b = RandomSeries(rng, n);
-    const double expected = SubsequenceDistanceZNorm(a, b);
-    EXPECT_EQ(engine.SubsequenceMinZNorm(a, b), expected) << m << "x" << n;
-    EXPECT_EQ(engine.SubsequenceMinZNorm(a, b, /*cache_b=*/true), expected);
-    EXPECT_EQ(engine.SubsequenceMinZNorm(a, b, /*cache_b=*/true), expected);
+    EXPECT_EQ(engine.SubsequenceMinMetric(a, b, MetricId::kZNormEuclidean),
+              SubsequenceDistanceZNorm(a, b))
+        << m << "x" << n;
   }
 }
 
@@ -86,52 +88,36 @@ TEST(DistanceEngineTest, ZNormHandlesFlatWindows) {
   const std::vector<double> flat(8, 3.0);
   const std::vector<double> mixed{0, 0, 0, 0, 0, 0, 0, 0, 1, 5, -2, 4,
                                   1, 2, 3, 4};
-  EXPECT_EQ(engine.SubsequenceMinZNorm(flat, mixed),
+  const MetricId zn = MetricId::kZNormEuclidean;
+  EXPECT_EQ(engine.SubsequenceMinMetric(flat, mixed, zn),
             SubsequenceDistanceZNorm(flat, mixed));
-  EXPECT_EQ(engine.SubsequenceMinZNorm(mixed, flat),
+  EXPECT_EQ(engine.SubsequenceMinMetric(mixed, flat, zn),
             SubsequenceDistanceZNorm(mixed, flat));
-  EXPECT_EQ(engine.SubsequenceMinZNorm(flat, flat),
+  EXPECT_EQ(engine.SubsequenceMinMetric(flat, flat, zn),
             SubsequenceDistanceZNorm(flat, flat));
 }
 
 // -------------------------------------------------------------------- batched
 
-TEST(DistanceEngineTest, ProfileAgainstSeriesMatchesKernelBitwise) {
-  Rng rng(17);
-  DistanceEngine engine(1);
-  for (const size_t m : {3u, 70u}) {
-    const std::vector<double> query = RandomSeries(rng, m);
-    const std::vector<double> series = RandomSeries(rng, 300);
-    EXPECT_EQ(engine.ProfileAgainstSeries(query, series),
-              DistanceProfileRaw(query, series));
-  }
-}
-
-TEST(DistanceEngineTest, ProfileAgainstDatasetMatchesPerSeriesProfiles) {
-  const Dataset train = SyntheticData("engine-profile", 8, 96);
-  Rng rng(19);
-  const std::vector<double> query = RandomSeries(rng, 24);
-  DistanceEngine engine(2);
-  const auto profiles = engine.ProfileAgainstDataset(query, train);
-  ASSERT_EQ(profiles.size(), train.size());
-  for (size_t i = 0; i < train.size(); ++i) {
-    EXPECT_EQ(profiles[i], DistanceProfileRaw(query, train[i].view())) << i;
-  }
-}
-
-TEST(DistanceEngineTest, MinAgainstDatasetMatchesSerialLoop) {
+TEST(DistanceEngineTest, TransformBatchWithLongShapeletMatchesSerialLoop) {
+  // A shapelet longer than every series: the engine swaps the roles, as
+  // the serial kernels do.
   const Dataset train = SyntheticData("engine-min", 9, 80);
   Rng rng(23);
-  const std::vector<double> query = RandomSeries(rng, 120);
+  Subsequence query;
+  query.values = RandomSeries(rng, 120);
   DistanceEngine engine(2);
-  const std::vector<double> raw =
-      engine.MinAgainstDataset(query, train, MetricId::kRawSquaredEuclidean);
-  const std::vector<double> zn =
-      engine.MinAgainstDataset(query, train, MetricId::kZNormEuclidean);
+  const auto raw =
+      engine.TransformBatch(train, {query}, MetricId::kRawSquaredEuclidean);
+  const auto zn =
+      engine.TransformBatch(train, {query}, MetricId::kZNormEuclidean);
   ASSERT_EQ(raw.size(), train.size());
   for (size_t i = 0; i < train.size(); ++i) {
-    EXPECT_EQ(raw[i], SubsequenceDistance(query, train[i].view())) << i;
-    EXPECT_EQ(zn[i], SubsequenceDistanceZNorm(query, train[i].view())) << i;
+    EXPECT_EQ(raw[i][0], SubsequenceDistance(query.view(), train[i].view()))
+        << i;
+    EXPECT_EQ(zn[i][0],
+              SubsequenceDistanceZNorm(query.view(), train[i].view()))
+        << i;
   }
 }
 
@@ -202,29 +188,39 @@ TEST(DistanceEngineTest, CountersTrackProfilesAndCacheTraffic) {
   Rng rng(29);
   const std::vector<double> a = RandomSeries(rng, 16);
   const std::vector<double> b = RandomSeries(rng, 128);
+  const std::vector<double> c = RandomSeries(rng, 128);
+  const std::vector<std::span<const double>> views = {a, b, c};
+  const std::vector<IndexPair> pairs = {{0, 1}, {0, 2}};
   DistanceEngine engine(1);
   EXPECT_EQ(engine.counters().profiles_computed, 0u);
 
-  engine.SubsequenceMin(a, b, /*cache_b=*/true);
+  // Single-pair calls cache nothing.
+  engine.SubsequenceMinMetric(a, b, MetricId::kRawSquaredEuclidean);
+  const EngineCounters single = engine.counters();
+  EXPECT_EQ(single.profiles_computed, 1u);
+  EXPECT_EQ(single.stats_cache_misses, 0u);
+  EXPECT_EQ(single.stats_cache_hits, 0u);
+
+  // Within a batch call, the second pair reuses the query's artefacts.
+  engine.MinForPairs(views, pairs);
   const EngineCounters first = engine.counters();
-  EXPECT_EQ(first.profiles_computed, 1u);
+  EXPECT_EQ(first.profiles_computed, 3u);
   EXPECT_GT(first.stats_cache_misses, 0u);
-  EXPECT_EQ(first.stats_cache_hits, 0u);
+  EXPECT_GT(first.stats_cache_hits, 0u);
 
-  engine.SubsequenceMin(a, b, /*cache_b=*/true);
+  // Nothing survives the call: a repeat recomputes exactly as much.
+  engine.MinForPairs(views, pairs);
   const EngineCounters second = engine.counters();
-  EXPECT_EQ(second.profiles_computed, 2u);
-  EXPECT_EQ(second.stats_cache_misses, first.stats_cache_misses);
-  EXPECT_GT(second.stats_cache_hits, 0u);
+  EXPECT_EQ(second.profiles_computed, 5u);
+  EXPECT_EQ(second.stats_cache_misses, 2 * first.stats_cache_misses);
+  EXPECT_EQ(second.stats_cache_hits, 2 * first.stats_cache_hits);
 
-  // ClearCaches forces recomputation; ResetCounters zeroes the telemetry.
-  engine.ClearCaches();
+  // ResetCounters zeroes the telemetry.
   engine.ResetCounters();
-  engine.SubsequenceMin(a, b, /*cache_b=*/true);
-  const EngineCounters third = engine.counters();
-  EXPECT_EQ(third.profiles_computed, 1u);
-  EXPECT_GT(third.stats_cache_misses, 0u);
-  EXPECT_EQ(third.stats_cache_hits, 0u);
+  const EngineCounters zero = engine.counters();
+  EXPECT_EQ(zero.profiles_computed, 0u);
+  EXPECT_EQ(zero.stats_cache_misses, 0u);
+  EXPECT_EQ(zero.stats_cache_hits, 0u);
 }
 
 // ------------------------------------------------------------ threaded stress
@@ -246,7 +242,6 @@ TEST(DistanceEngineStressTest, ConcurrentBatchesMatchSerialBitwise) {
       baseline.TransformBatch(train, cands, MetricId::kRawSquaredEuclidean);
   Rng rng(31);
   const std::vector<double> query = RandomSeries(rng, 32);
-  const auto profile_base = baseline.ProfileAgainstDataset(query, train);
 
   DistanceEngine shared(2);
   std::atomic<int> mismatches{0};
@@ -261,7 +256,9 @@ TEST(DistanceEngineStressTest, ConcurrentBatchesMatchSerialBitwise) {
         check(shared.PairwiseSubsequenceMin(cands) == pair_base);
         check(shared.TransformBatch(train, cands, MetricId::kRawSquaredEuclidean) ==
               rows_base);
-        check(shared.ProfileAgainstDataset(query, train) == profile_base);
+        check(shared.TransformOne(train[0].view(), cands,
+                                  MetricId::kRawSquaredEuclidean) ==
+              rows_base[0]);
       }
     });
   }
@@ -271,7 +268,8 @@ TEST(DistanceEngineStressTest, ConcurrentBatchesMatchSerialBitwise) {
       for (int iter = 0; iter < 4; ++iter) {
         for (size_t i = 0; i < cands.size(); ++i) {
           check(SubsequenceDistance(query, cands[i].view()) ==
-                shared.SubsequenceMin(query, cands[i].view()));
+                shared.SubsequenceMinMetric(query, cands[i].view(),
+                                            MetricId::kRawSquaredEuclidean));
         }
       }
     });
@@ -305,6 +303,66 @@ TEST(DistanceEngineStorageReuseTest, MinForPairsSeesRewrittenStorage) {
                   SubsequenceDistanceMetric(views[pairs[t].first],
                                             views[pairs[t].second], metric))
             << MetricName(metric) << " round " << round << " pair " << t;
+      }
+    }
+  }
+}
+
+// A dataset view over caller-owned buffers, so a test can rewrite the
+// values in place (same addresses, same lengths) between calls.
+class BufferView final : public DatasetView {
+ public:
+  explicit BufferView(const std::vector<std::vector<double>>& buffers)
+      : buffers_(buffers) {}
+  size_t size() const override { return buffers_.size(); }
+  SeriesView At(size_t i) const override {
+    return SeriesView(buffers_[i], static_cast<int>(i % 2));
+  }
+
+ private:
+  const std::vector<std::vector<double>>& buffers_;
+};
+
+// The transform keeps nothing between calls either: a caller-held engine
+// transforming series and shapelet storage that is rewritten in place
+// between calls must see the new values. Shapelet lengths cover the naive
+// and the FFT sliding-dots regimes.
+TEST(DistanceEngineStorageReuseTest, TransformSeesRewrittenStorage) {
+  Rng rng(101);
+  std::vector<std::vector<double>> series(4, std::vector<double>(1100));
+  const BufferView data(series);
+  std::vector<Subsequence> shapelets(3);
+  shapelets[0].values.resize(9);
+  shapelets[1].values.resize(24);
+  shapelets[2].values.resize(600);
+  for (size_t m = 0; m < kMetricCount; ++m) {
+    const MetricId metric = static_cast<MetricId>(m);
+    DistanceEngine engine(2);
+    for (int round = 0; round < 2; ++round) {
+      for (std::vector<double>& s : series) {
+        const std::vector<double> v = RandomSeries(rng, s.size());
+        std::copy(v.begin(), v.end(), s.begin());
+      }
+      for (Subsequence& s : shapelets) {
+        const std::vector<double> v = RandomSeries(rng, s.length());
+        std::copy(v.begin(), v.end(), s.values.begin());
+      }
+      const TransformedData batch =
+          ShapeletTransform(data, shapelets, metric, 2, &engine);
+      for (size_t i = 0; i < series.size(); ++i) {
+        const std::vector<double> one =
+            engine.TransformOne(series[i], shapelets, metric);
+        for (size_t s = 0; s < shapelets.size(); ++s) {
+          const double expected =
+              SubsequenceDistanceMetric(series[i], shapelets[s].view(),
+                                        metric);
+          EXPECT_EQ(batch.features[i][s], expected)
+              << MetricName(metric) << " round " << round << " series " << i
+              << " shapelet " << s;
+          EXPECT_EQ(one[s], expected)
+              << MetricName(metric) << " round " << round << " series " << i
+              << " shapelet " << s << " (TransformOne)";
+        }
       }
     }
   }

@@ -111,8 +111,13 @@ TEST_P(EarlyAbandonParityTest, BatchApisBitwiseIdentical) {
     EXPECT_EQ(rows_p[i], rows_d[i]) << "transform row " << i;
   }
 
-  EXPECT_EQ(pruned.MinAgainstDataset(shapelets[0].view(), data, metric),
-            dense.MinAgainstDataset(shapelets[0].view(), data, metric));
+  for (size_t i = 0; i < views.size(); ++i) {
+    EXPECT_EQ(pruned.SubsequenceMinMetric(shapelets[0].view(), views[i],
+                                          metric),
+              dense.SubsequenceMinMetric(shapelets[0].view(), views[i],
+                                         metric))
+        << "single pair " << i;
+  }
 
   EXPECT_EQ(pruned.MinForPairs(views, pairs, metric),
             dense.MinForPairs(views, pairs, metric));

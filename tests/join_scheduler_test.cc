@@ -131,7 +131,7 @@ TEST(JoinSchedulerTest, ConfigMatrixHoldsForEveryRegisteredMetric) {
 
 TEST(JoinSchedulerTest, ConfigMatrixHoldsInTheFftSeedRegime) {
   // Sizes past the FFT cost model's crossover (window >= kFftCutoff AND
-  // window * len > 14 * padded * log2(padded)): PrepareAllPairs serves the
+  // window * len > 14 * padded * log2(padded)): the table build serves the
   // QT seed rows from forward FFTs (the fft_series/fft_query artifacts),
   // the one arithmetic path the short-series cases above never touch.
   ASSERT_TRUE(StompSeedUsesFft(512, 1040));
@@ -158,40 +158,43 @@ TEST(JoinSchedulerTest, RepeatBatchesIntoSameVectorMatch) {
       ReferenceJoins(views, 10, MetricId::kZNormEuclidean);
 
   MatrixProfileEngine engine(2);
+  const ArtifactTable table = engine.PrepareAllPairs(views, 10);
   std::vector<PairJoin> joins;
   for (int rep = 0; rep < 3; ++rep) {
-    // Capacity reuse across repeats (the serving-loop form) and artifact
-    // table reuse after the first batch must not change a bit.
-    engine.JoinAllPairsInto(views, 10, joins);
+    // Capacity reuse across repeats (the serving-loop form) over one
+    // caller-held artifact table must not change a bit.
+    engine.JoinAllPairsInto(table, joins);
     ExpectJoinsBitwiseEqual(expected, joins,
                             "rep " + std::to_string(rep));
   }
-  const MpEngineCounters c = engine.counters();
-  EXPECT_EQ(c.table_builds, 1u);
-  EXPECT_EQ(c.table_reuses, 2u);
+  EXPECT_EQ(engine.counters().table_builds, 1u);
 }
 
 TEST(JoinSchedulerTest, PreparedTableIsReusedByTheJoin) {
   const auto series = MakeSeries(29, {60, 75, 80});
   const auto views = ViewsOf(series);
   MatrixProfileEngine engine(2);
-  const auto table = engine.PrepareAllPairs(views, 11);
-  ASSERT_NE(table, nullptr);
-  EXPECT_EQ(table->window, 11u);
-  EXPECT_GT(table->entry_count(), 0u);
+  const ArtifactTable table = engine.PrepareAllPairs(views, 11);
+  EXPECT_EQ(table.window, 11u);
+  EXPECT_EQ(table.views.size(), views.size());
+  EXPECT_GT(table.entry_count(), 0u);
 
-  const std::vector<PairJoin> joins = engine.JoinAllPairs(views, 11);
-  const MpEngineCounters c = engine.counters();
-  EXPECT_EQ(c.table_builds, 1u);   // the explicit prepare
-  EXPECT_EQ(c.table_reuses, 1u);   // the join found it by views/window
+  std::vector<PairJoin> joins;
+  engine.JoinAllPairsInto(table, joins);
+  EXPECT_EQ(engine.counters().table_builds, 1u);  // the explicit prepare
   ExpectJoinsBitwiseEqual(ReferenceJoins(views, 11,
                                          MetricId::kZNormEuclidean),
                           joins, "prepared");
 
-  // A different window is a different table; the held pointer stays valid.
-  engine.PrepareAllPairs(views, 8);
+  // A different window is a different table; the held one is untouched.
+  const ArtifactTable other = engine.PrepareAllPairs(views, 8);
   EXPECT_EQ(engine.counters().table_builds, 2u);
-  EXPECT_EQ(table->window, 11u);
+  EXPECT_EQ(other.window, 8u);
+  EXPECT_EQ(table.window, 11u);
+  engine.JoinAllPairsInto(table, joins);
+  ExpectJoinsBitwiseEqual(ReferenceJoins(views, 11,
+                                         MetricId::kZNormEuclidean),
+                          joins, "prepared again");
 }
 
 TEST(JoinSchedulerTest, SelfJoinAndAbJoinUnaffectedByKnobs) {

@@ -183,7 +183,8 @@ TEST(MetricDistanceTest, SubsequenceDistanceIsSymmetric) {
 TEST(MetricEngineTest, BatchedApisMatchBruteForceAtEveryThreadCount) {
   const Dataset train = SyntheticData("metric-engine", 7, 72);
   Rng rng(13);
-  const std::vector<double> query = RandomSeries(rng, 14);
+  Subsequence query;
+  query.values = RandomSeries(rng, 14);
 
   std::vector<std::span<const double>> views;
   for (size_t i = 0; i < train.size(); ++i) views.push_back(train[i].view());
@@ -200,22 +201,16 @@ TEST(MetricEngineTest, BatchedApisMatchBruteForceAtEveryThreadCount) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       DistanceEngine engine(threads);
 
-      const auto profiles = engine.ProfileAgainstDataset(query, train, id);
-      ASSERT_EQ(profiles.size(), train.size());
+      const auto rows = engine.TransformBatch(train, {query}, id);
+      ASSERT_EQ(rows.size(), train.size());
       for (size_t i = 0; i < train.size(); ++i) {
-        const auto want = BruteProfile(query, train[i].view(), id);
-        ASSERT_EQ(profiles[i].size(), want.size());
-        for (size_t k = 0; k < want.size(); ++k) {
-          EXPECT_NEAR(profiles[i][k], want[k], kTol)
-              << "series " << i << " offset " << k;
-        }
-      }
-
-      const auto mins = engine.MinAgainstDataset(query, train, id);
-      ASSERT_EQ(mins.size(), train.size());
-      for (size_t i = 0; i < train.size(); ++i) {
-        EXPECT_NEAR(mins[i], BruteMin(query, train[i].view(), id), kTol)
+        EXPECT_NEAR(rows[i][0], BruteMin(query.view(), train[i].view(), id),
+                    kTol)
             << "series " << i;
+        EXPECT_NEAR(engine.SubsequenceMinMetric(query.view(),
+                                                train[i].view(), id),
+                    BruteMin(query.view(), train[i].view(), id), kTol)
+            << "single pair " << i;
       }
 
       const auto pair_mins = engine.MinForPairs(views, pairs, id);
@@ -234,18 +229,15 @@ TEST(MetricEngineTest, BatchedApisMatchBruteForceAtEveryThreadCount) {
 TEST(MetricEngineTest, BatchedApisBitwiseIdenticalAcrossThreadCounts) {
   const Dataset train = SyntheticData("metric-engine-threads", 9, 90);
   Rng rng(17);
-  const std::vector<double> query = RandomSeries(rng, 11);
+  Subsequence query;
+  query.values = RandomSeries(rng, 11);
   for (const MetricId id : AllMetrics()) {
     SCOPED_TRACE(std::string("metric=") + MetricName(id));
     DistanceEngine serial(1);
-    const auto profiles_base = serial.ProfileAgainstDataset(query, train, id);
-    const auto mins_base = serial.MinAgainstDataset(query, train, id);
+    const auto rows_base = serial.TransformBatch(train, {query}, id);
     for (const size_t threads : {2u, 8u}) {
       DistanceEngine engine(threads);
-      EXPECT_EQ(engine.ProfileAgainstDataset(query, train, id),
-                profiles_base)
-          << "threads=" << threads;
-      EXPECT_EQ(engine.MinAgainstDataset(query, train, id), mins_base)
+      EXPECT_EQ(engine.TransformBatch(train, {query}, id), rows_base)
           << "threads=" << threads;
     }
   }

@@ -192,7 +192,7 @@ TEST(MpEngineCountersTest, PairSymmetryHalvesJoins) {
   std::vector<std::span<const double>> views(series.begin(), series.end());
 
   // The batch builds one immutable artifact table, and a repeat batch
-  // reuses it.
+  // builds its own (the engine keeps nothing between calls).
   MatrixProfileEngine tabled(2);
   tabled.JoinAllPairs(views, 10);
   const MpEngineCounters t1 = tabled.counters();
@@ -201,19 +201,20 @@ TEST(MpEngineCountersTest, PairSymmetryHalvesJoins) {
   EXPECT_EQ(t1.joins_computed, 6u);
   EXPECT_EQ(t1.joins_halved, 3u);
   EXPECT_EQ(t1.table_builds, 1u);
-  EXPECT_EQ(t1.table_reuses, 0u);
 
   tabled.JoinAllPairs(views, 10);
   const MpEngineCounters t2 = tabled.counters();
-  EXPECT_EQ(t2.table_builds, 1u);
-  EXPECT_EQ(t2.table_reuses, 1u);
+  EXPECT_EQ(t2.qt_sweeps, 6u);
+  EXPECT_EQ(t2.table_builds, 2u);
 
-  // ClearCaches drops the retained table: the next batch rebuilds.
-  tabled.ClearCaches();
-  tabled.JoinAllPairs(views, 10);
+  // A caller-held table is built once and serves every join over it.
+  const ArtifactTable table = tabled.PrepareAllPairs(views, 10);
+  std::vector<PairJoin> joins;
+  tabled.JoinAllPairsInto(table, joins);
+  tabled.JoinAllPairsInto(table, joins);
   const MpEngineCounters t3 = tabled.counters();
-  EXPECT_EQ(t3.table_builds, 2u);
-  EXPECT_EQ(t3.table_reuses, 1u);
+  EXPECT_EQ(t3.qt_sweeps, 12u);
+  EXPECT_EQ(t3.table_builds, 3u);
 
   tabled.ResetCounters();
   const MpEngineCounters zero = tabled.counters();
@@ -331,26 +332,74 @@ TEST(MpEngineStorageReuseTest, AdHocJoinsSeeRewrittenStorage) {
   }
 }
 
-TEST(MpEngineStorageReuseTest, AdHocJoinsLeaveRetainedTableAlone) {
+// JoinAllPairs retains nothing either: a second batch over the same
+// buffers, rewritten in place at the same window, must give the joins of
+// the NEW values.
+TEST(MpEngineStorageReuseTest, JoinAllPairsSeesRewrittenStorage) {
+  struct Shape {
+    std::vector<size_t> lens;
+    size_t window;
+  };
+  // Naive-seed and FFT-seed regimes.
+  for (const Shape& shape :
+       {Shape{{120, 96, 110}, 12}, Shape{{1040, 1024}, 512}}) {
+    std::vector<std::vector<double>> series;
+    for (size_t len : shape.lens) series.emplace_back(len);
+    const std::vector<std::span<const double>> views(series.begin(),
+                                                     series.end());
+    Rng rng(shape.window);
+    const size_t w = shape.window;
+    for (size_t m = 0; m < kMetricCount; ++m) {
+      const MetricId metric = static_cast<MetricId>(m);
+      MatrixProfileEngine engine(2);
+      for (int round = 0; round < 2; ++round) {
+        for (std::vector<double>& s : series) {
+          const std::vector<double> fresh = RandomWalk(rng, s.size());
+          std::copy(fresh.begin(), fresh.end(), s.begin());
+        }
+        const std::vector<PairJoin> joins =
+            engine.JoinAllPairs(views, w, metric);
+        MatrixProfileEngine fresh(1);
+        for (const PairJoin& pj : joins) {
+          const PairJoin expected =
+              fresh.AbJoinBoth(views[pj.a], views[pj.b], w, metric);
+          ExpectProfilesIdentical(expected.a_vs_b, pj.a_vs_b, "batch a");
+          ExpectProfilesIdentical(expected.b_vs_a, pj.b_vs_a, "batch b");
+        }
+      }
+    }
+  }
+}
+
+// The ad-hoc joins build call-local tables: interleaving them with joins
+// over a caller-held all-pairs table neither counts as an all-pairs build
+// nor disturbs the held table.
+TEST(MpEngineStorageReuseTest, AdHocJoinsLeaveCallerHeldTableAlone) {
   Rng rng(41);
   std::vector<std::vector<double>> series;
   for (size_t n : {70u, 80u, 90u}) series.push_back(RandomWalk(rng, n));
   std::vector<std::span<const double>> views(series.begin(), series.end());
 
   MatrixProfileEngine engine(2);
-  engine.JoinAllPairs(views, 10);
+  const ArtifactTable table = engine.PrepareAllPairs(views, 10);
+  std::vector<PairJoin> before;
+  engine.JoinAllPairsInto(table, before);
   engine.SelfJoin(views[0], 10);
   engine.AbJoin(views[0], views[1], 10);
   engine.AbJoinBoth(views[1], views[2], 10);
-  MpEngineCounters c = engine.counters();
-  EXPECT_EQ(c.table_builds, 1u);
-  EXPECT_EQ(c.table_reuses, 0u);
+  std::vector<PairJoin> after;
+  engine.JoinAllPairsInto(table, after);
+  EXPECT_EQ(engine.counters().table_builds, 1u);
 
-  // The slot still holds the batch's table.
-  engine.JoinAllPairs(views, 10);
-  c = engine.counters();
-  EXPECT_EQ(c.table_builds, 1u);
-  EXPECT_EQ(c.table_reuses, 1u);
+  ASSERT_EQ(before.size(), 3u);
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t t = 0; t < before.size(); ++t) {
+    ExpectProfilesIdentical(before[t].a_vs_b, after[t].a_vs_b, "a side");
+    ExpectProfilesIdentical(before[t].b_vs_a, after[t].b_vs_a, "b side");
+    ExpectProfilesIdentical(
+        AbJoinProfile(views[before[t].a], views[before[t].b], 10),
+        after[t].a_vs_b, "a kernel");
+  }
 }
 
 }  // namespace
