@@ -32,6 +32,7 @@
 #include "core/metric.h"
 #include "data/generator.h"
 #include "ips/pipeline.h"
+#include "obs/metrics.h"
 #include "transform/shapelet_transform.h"
 
 namespace ips {
@@ -131,18 +132,21 @@ EabCase BenchOne(MetricId metric, size_t threads, const TrainTestSplit& data,
   {
     DistanceEngine engine(threads);
     engine.set_early_abandon(true);
+    const obs::MetricsSnapshot before =
+        obs::MetricsRegistry::Instance().Snapshot();
     r.transform_pruned_ns = BestOfNs(
         [&] {
           pruned_rows = engine.TransformBatch(data.train, shapelets, metric);
         },
         5, 2);
-    const EngineCounters c = engine.counters();
+    const obs::MetricsSnapshot c =
+        obs::MetricsRegistry::Instance().DeltaSince(before);
     // Counters accumulate over every rep; the split is what matters, and
     // ratios are rep-invariant.
-    r.eab_candidates = c.eab_candidates;
-    r.eab_lb_pruned = c.eab_lb_pruned;
-    r.eab_abandoned = c.eab_abandoned;
-    r.eab_full = c.eab_full;
+    r.eab_candidates = c.CounterValue("engine.eab.candidates");
+    r.eab_lb_pruned = c.CounterValue("engine.eab.lb_pruned");
+    r.eab_abandoned = c.CounterValue("engine.eab.abandoned");
+    r.eab_full = c.CounterValue("engine.eab.full");
   }
   {
     DistanceEngine engine(threads);

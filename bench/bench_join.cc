@@ -1,18 +1,18 @@
-// Harness for the tiled all-pairs join scheduler (docs/memory.md), emitted
-// as machine-readable JSON (BENCH_join.json).
+// Harness for the all-pairs join scheduler (docs/memory.md), emitted as
+// machine-readable JSON (BENCH_join.json).
 //
 // Two sections:
-//   tile_sweep      engine-level all-pairs joins over many short series
+//   join            engine-level all-pairs joins over many short series
 //                   (the overhead-dominated regime candidate generation
-//                   lives in) at 8 threads across explicit tile widths
+//                   lives in) at 8 threads, best of 3 after a warmup
 //   allocations     heap allocations inside a warm JoinAllPairsInto batch,
 //                   counted by a global operator-new override; the
 //                   per-pair figure differences two batch sizes so
 //                   per-batch constants (spans, pool dispatch) cancel
 //
-// Every timed configuration is guarded by an FNV-1a checksum over the exact
-// output bit patterns against the serial AbJoinProfile kernel in both
-// directions; the binary exits 1 on any mismatch (the scheduler is
+// The timed join is guarded by an FNV-1a checksum over the exact output
+// bit patterns against the serial AbJoinProfile kernel in both
+// directions; the binary exits 1 on a mismatch (the scheduler is
 // scheduling/memory reuse only -- bitwise identity is the contract, see
 // tests/join_scheduler_test.cc for the strict assertions).
 //
@@ -156,38 +156,31 @@ std::vector<PairJoin> ReferenceJoins(
   return joins;
 }
 
-struct TilePoint {
-  size_t tile = 0;
+struct JoinPoint {
+  size_t threads = 0;
   double seconds = 0.0;
   bool checksum_equal = false;
 };
 
 // Every trial builds its own artifact table, as each candidate-generation
 // join does.
-std::vector<TilePoint> BenchTileSweep(
-    const std::vector<std::span<const double>>& views, size_t window,
-    size_t threads, int trials, uint64_t reference) {
-  std::vector<TilePoint> points;
+JoinPoint BenchJoin(const std::vector<std::span<const double>>& views,
+                    size_t window, size_t threads, int trials,
+                    uint64_t reference) {
+  MatrixProfileEngine engine(threads);
   std::vector<PairJoin> joins;
-  for (size_t tile : {size_t{1}, size_t{2}, size_t{4}, size_t{8}, size_t{16},
-                      size_t{32}, size_t{0}}) {
-    MatrixProfileEngine engine(threads);
-    engine.set_tile_size(tile);
-    TilePoint p;
-    p.tile = tile;
-    // Untimed warmup: page in code and data, fault in the output capacity,
-    // so the first timed trial is not systematically colder than the rest.
-    engine.JoinAllPairsInto(engine.PrepareAllPairs(views, window), joins);
-    p.seconds = BestOfS(
-        [&] {
-          engine.JoinAllPairsInto(engine.PrepareAllPairs(views, window),
-                                  joins);
-        },
-        trials);
-    p.checksum_equal = ChecksumJoins(joins) == reference;
-    points.push_back(p);
-  }
-  return points;
+  JoinPoint p;
+  p.threads = threads;
+  // Untimed warmup: page in code and data, fault in the output capacity,
+  // so the first timed trial is not systematically colder than the rest.
+  engine.JoinAllPairsInto(engine.PrepareAllPairs(views, window), joins);
+  p.seconds = BestOfS(
+      [&] {
+        engine.JoinAllPairsInto(engine.PrepareAllPairs(views, window), joins);
+      },
+      trials);
+  p.checksum_equal = ChecksumJoins(joins) == reference;
+  return p;
 }
 
 // Heap allocations inside one steady-state batch: the caller already holds
@@ -219,17 +212,10 @@ int Main(int argc, char** argv) {
   const auto views = ViewsOf(series);
 
   const uint64_t reference = ChecksumJoins(ReferenceJoins(views, window));
-  const std::vector<TilePoint> tiles =
-      BenchTileSweep(views, window, 8, 3, reference);
-  std::printf("tile sweep (8 threads, 256 series x 20):\n");
-  for (const TilePoint& p : tiles) {
-    const char* ok = p.checksum_equal ? "ok" : "CHECKSUM MISMATCH";
-    if (p.tile == 0) {
-      std::printf("  tile auto %9.4fs %s\n", p.seconds, ok);
-    } else {
-      std::printf("  tile %4zu %9.4fs %s\n", p.tile, p.seconds, ok);
-    }
-  }
+  const JoinPoint join = BenchJoin(views, window, 8, 3, reference);
+  std::printf("all-pairs join (%zu threads, 256 series x 20): %.4fs %s\n",
+              join.threads, join.seconds,
+              join.checksum_equal ? "ok" : "CHECKSUM MISMATCH");
 
   // Allocation counts at two batch sizes; the per-pair slope differences
   // out per-batch constants (span labels, pool region dispatch).
@@ -259,15 +245,11 @@ int Main(int argc, char** argv) {
   obs::JsonValue doc = obs::JsonValue::Object();
   doc.Set("experiment", "join_scheduler");
   doc.Set("hardware_threads", static_cast<double>(HardwareThreads()));
-  obs::JsonValue tile_arr = obs::JsonValue::Array();
-  for (const TilePoint& p : tiles) {
-    obs::JsonValue e = obs::JsonValue::Object();
-    e.Set("tile", static_cast<double>(p.tile));
-    e.Set("seconds", p.seconds);
-    e.Set("checksum_equal", p.checksum_equal);
-    tile_arr.Append(std::move(e));
-  }
-  doc.Set("tile_sweep", std::move(tile_arr));
+  obs::JsonValue join_doc = obs::JsonValue::Object();
+  join_doc.Set("threads", static_cast<double>(join.threads));
+  join_doc.Set("seconds", join.seconds);
+  join_doc.Set("checksum_equal", join.checksum_equal);
+  doc.Set("join", std::move(join_doc));
   obs::JsonValue alloc = obs::JsonValue::Object();
   alloc.Set("warm_batch_allocs_small", static_cast<double>(allocs_small));
   alloc.Set("warm_batch_allocs_large", static_cast<double>(allocs_large));
@@ -281,10 +263,7 @@ int Main(int argc, char** argv) {
   }
   std::printf("wrote %s\n", json_path.c_str());
 
-  for (const TilePoint& p : tiles) {
-    if (!p.checksum_equal) return 1;
-  }
-  return 0;
+  return join.checksum_equal ? 0 : 1;
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "util/parallel.h"
 #include "util/thread_pool.h"
 
@@ -146,7 +147,8 @@ int Main(int argc, char** argv) {
     if (arg.rfind("--out=", 0) == 0) out_path = arg.substr(6);
   }
 
-  const ThreadPoolCounters before = ThreadPool::Counters();
+  const obs::MetricsSnapshot before =
+      obs::MetricsRegistry::Instance().Snapshot();
   std::vector<RegionResult> results;
   for (size_t threads : {size_t{2}, size_t{8}}) {
     // Region serial work spans dispatch-bound (~empty) through ~1 ms, the
@@ -156,7 +158,8 @@ int Main(int argc, char** argv) {
     results.push_back(BenchRegion("region_250us", 64, 2500, threads));
     results.push_back(BenchRegion("region_1ms", 64, 10000, threads));
   }
-  const ThreadPoolCounters after = ThreadPool::Counters();
+  const obs::MetricsSnapshot pool =
+      obs::MetricsRegistry::Instance().DeltaSince(before);
 
   std::ofstream out(out_path);
   out << "{\n";
@@ -176,10 +179,10 @@ int Main(int argc, char** argv) {
   }
   out << "  ],\n";
   out << "  \"pool_counters\": {\"regions_dispatched\": "
-      << after.regions_dispatched - before.regions_dispatched
-      << ", \"regions_inline\": " << after.regions_inline - before.regions_inline
-      << ", \"tasks_run\": " << after.tasks_run - before.tasks_run
-      << ", \"chunk_steals\": " << after.chunk_steals - before.chunk_steals
+      << pool.CounterValue("pool.regions_dispatched")
+      << ", \"regions_inline\": " << pool.CounterValue("pool.regions_inline")
+      << ", \"tasks_run\": " << pool.CounterValue("pool.tasks_run")
+      << ", \"chunk_steals\": " << pool.CounterValue("pool.chunk_steals")
       << "}\n";
   out << "}\n";
   out.close();

@@ -7,11 +7,16 @@
 //
 // Usage: bench_store [--full] [--json=PATH] [--metric=NAME]
 //
+// Both paths run once untimed (warm-up), then kTimedRepeats times with the
+// path order alternating between repeats; the reported wall times are the
+// per-path medians, so neither path is timed first and cold.
+//
 // Writes BENCH_store.json: corpus/budget/chunk geometry, LRU counters,
-// per-path wall times and the parity verdicts.
+// per-path median wall times and the parity verdicts.
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -59,6 +64,33 @@ uint64_t HashTransform(const TransformedData& t) {
   }
   for (const int label : t.labels) mix(static_cast<uint64_t>(label));
   return h;
+}
+
+constexpr int kTimedRepeats = 3;
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// One discovery + transform pass over one path, timed per phase.
+struct PathRun {
+  RunResult run;
+  TransformedData transform;
+  double discover_ms = 0.0;
+  double transform_ms = 0.0;
+};
+
+PathRun RunPath(const DatasetView& source, const IpsOptions& options) {
+  PathRun r;
+  auto start = std::chrono::steady_clock::now();
+  r.run = DiscoverShapelets(source, options);
+  r.discover_ms = MsSince(start);
+  start = std::chrono::steady_clock::now();
+  r.transform = ShapeletTransform(source, r.run.shapelets, options.metric,
+                                  options.num_threads);
+  r.transform_ms = MsSince(start);
+  return r;
 }
 
 int Run(const BenchArgs& args) {
@@ -122,33 +154,45 @@ int Run(const BenchArgs& args) {
               segment->num_chunks(),
               static_cast<double>(segment->budget_bytes()) / (1 << 20));
 
-  // ---- In-RAM reference.
-  auto start = std::chrono::steady_clock::now();
-  const RunResult ram_run = DiscoverShapelets(data, options);
-  const double ram_discover_ms = MsSince(start);
-  start = std::chrono::steady_clock::now();
-  const TransformedData ram_transform = ShapeletTransform(
-      data, ram_run.shapelets, metric, options.num_threads);
-  const double ram_transform_ms = MsSince(start);
+  // ---- Untimed warm-up of both paths. The in-RAM pass is the parity
+  // reference every later pass (RAM or store) must match bitwise.
+  const PathRun reference = RunPath(data, options);
+  const std::string reference_shapelets =
+      SerializeShapelets(reference.run.shapelets);
+  const uint64_t reference_transform = HashTransform(reference.transform);
+  bool discovery_identical = true;
+  bool transform_identical = true;
+  const auto check = [&](const PathRun& r) {
+    discovery_identical &=
+        SerializeShapelets(r.run.shapelets) == reference_shapelets;
+    transform_identical &= HashTransform(r.transform) == reference_transform;
+  };
+  check(RunPath(*segment, options));
 
-  // ---- Store-backed run, same work off the mapped segment.
-  start = std::chrono::steady_clock::now();
-  const RunResult store_run = DiscoverShapelets(*segment, options);
-  const double store_discover_ms = MsSince(start);
-  start = std::chrono::steady_clock::now();
-  const TransformedData store_transform = ShapeletTransform(
-      *segment, store_run.shapelets, metric, options.num_threads);
-  const double store_transform_ms = MsSince(start);
-
-  const bool discovery_identical = SerializeShapelets(ram_run.shapelets) ==
-                                   SerializeShapelets(store_run.shapelets);
-  const bool transform_identical =
-      HashTransform(ram_transform) == HashTransform(store_transform);
+  // ---- Timed repeats, alternating which path runs first.
+  std::vector<double> ram_discover, ram_transform, store_discover,
+      store_transform;
+  for (int rep = 0; rep < kTimedRepeats; ++rep) {
+    for (int k = 0; k < 2; ++k) {
+      const bool ram = (rep + k) % 2 == 0;
+      const PathRun r = ram ? RunPath(data, options)
+                            : RunPath(*segment, options);
+      check(r);
+      (ram ? ram_discover : store_discover).push_back(r.discover_ms);
+      (ram ? ram_transform : store_transform).push_back(r.transform_ms);
+    }
+  }
+  const double ram_discover_ms = Median(ram_discover);
+  const double ram_transform_ms = Median(ram_transform);
+  const double store_discover_ms = Median(store_discover);
+  const double store_transform_ms = Median(store_transform);
   const bool corpus_exceeds_budget = corpus_bytes > segment->budget_bytes();
   const bool budget_respected =
       segment->resident_high_water() <= segment->budget_bytes();
   const bool evictions_exercised = segment->chunk_evictions() > 0;
 
+  std::printf("median of %d timed repeats after a warm-up of both paths\n",
+              kTimedRepeats);
   std::printf("discovery:  ram %.1f ms, store %.1f ms -- %s\n",
               ram_discover_ms, store_discover_ms,
               discovery_identical ? "bitwise identical" : "MISMATCH");
@@ -178,6 +222,7 @@ int Run(const BenchArgs& args) {
     doc.Set("chunk_loads", segment->chunk_loads());
     doc.Set("chunk_hits", segment->chunk_hits());
     doc.Set("chunk_evictions", segment->chunk_evictions());
+    doc.Set("timed_repeats", kTimedRepeats);
     doc.Set("ram_discover_ms", ram_discover_ms);
     doc.Set("store_discover_ms", store_discover_ms);
     doc.Set("ram_transform_ms", ram_transform_ms);

@@ -24,6 +24,7 @@
 #include "lsh/lsh.h"
 #include "matrix_profile/matrix_profile.h"
 #include "matrix_profile/mp_engine.h"
+#include "obs/metrics.h"
 #include "transform/shapelet_transform.h"
 #include "util/parallel.h"
 
@@ -350,17 +351,24 @@ BENCHMARK(BM_InstanceProfileSeed);
 void BM_InstanceProfileEngine(benchmark::State& state) {
   static const InstanceProfileFixture fixture;
   const size_t threads = static_cast<size_t>(state.range(0));
-  MpEngineCounters last;
-  for (auto _ : state) {
-    // A fresh engine per iteration, so the counters cover one call.
+  const auto run = [&] {
     MatrixProfileEngine engine(threads);
     benchmark::DoNotOptimize(ComputeInstanceProfile(
         fixture.sample, InstanceProfileFixture::kWindow, 1, &engine));
-    last = engine.counters();
-  }
-  state.counters["qt_sweeps"] = static_cast<double>(last.qt_sweeps);
-  state.counters["joins_served"] = static_cast<double>(last.joins_computed);
-  state.counters["joins_halved"] = static_cast<double>(last.joins_halved);
+  };
+  for (auto _ : state) run();
+  // One more, untimed call inside a registry window: the per-call counts.
+  const obs::MetricsSnapshot before =
+      obs::MetricsRegistry::Instance().Snapshot();
+  run();
+  const obs::MetricsSnapshot call =
+      obs::MetricsRegistry::Instance().DeltaSince(before);
+  state.counters["qt_sweeps"] =
+      static_cast<double>(call.CounterValue("mp.qt_sweeps"));
+  state.counters["joins_served"] =
+      static_cast<double>(call.CounterValue("mp.joins_computed"));
+  state.counters["joins_halved"] =
+      static_cast<double>(call.CounterValue("mp.joins_halved"));
 }
 BENCHMARK(BM_InstanceProfileEngine)->Arg(1)->Arg(8);
 
@@ -438,26 +446,26 @@ void BM_TableVProfileStageEngine(benchmark::State& state) {
   const size_t threads = static_cast<size_t>(state.range(0));
   const size_t outer = std::min(threads, fixture.tasks.size());
   const size_t inner = std::max<size_t>(1, threads / outer);
-  size_t sweeps = 0;
-  size_t joins = 0;
-  for (auto _ : state) {
+  const auto run = [&] {
     std::vector<InstanceProfile> profiles(fixture.tasks.size());
-    std::vector<MpEngineCounters> counters(fixture.tasks.size());
     ParallelFor(fixture.tasks.size(), outer, [&](size_t t) {
       MatrixProfileEngine engine(inner);
       profiles[t] = ComputeInstanceProfile(
           fixture.tasks[t], ProfileStageFixture::kWindow, 1, &engine);
-      counters[t] = engine.counters();
     });
-    sweeps = joins = 0;
-    for (const auto& c : counters) {
-      sweeps += c.qt_sweeps;
-      joins += c.joins_computed;
-    }
     benchmark::DoNotOptimize(profiles);
-  }
-  state.counters["qt_sweeps"] = static_cast<double>(sweeps);
-  state.counters["joins_served"] = static_cast<double>(joins);
+  };
+  for (auto _ : state) run();
+  // One more, untimed stage inside a registry window: the per-stage counts.
+  const obs::MetricsSnapshot before =
+      obs::MetricsRegistry::Instance().Snapshot();
+  run();
+  const obs::MetricsSnapshot stage =
+      obs::MetricsRegistry::Instance().DeltaSince(before);
+  state.counters["qt_sweeps"] =
+      static_cast<double>(stage.CounterValue("mp.qt_sweeps"));
+  state.counters["joins_served"] =
+      static_cast<double>(stage.CounterValue("mp.joins_computed"));
 }
 BENCHMARK(BM_TableVProfileStageEngine)->Arg(1)->Arg(8);
 

@@ -104,6 +104,14 @@ echo "=== BENCH_store ==="
 "$BENCH/bench_store" --json="$OUT/BENCH_store.json" |
   tee "$OUT/BENCH_store.txt"
 
+# Serving layer: the in-process batch-window sweep and hot-swap phase over
+# the admission queue, every served label diffed against the offline
+# PredictBatch run. bench_serve writes the JSON itself and exits nonzero
+# on any divergence.
+echo "=== BENCH_serve ==="
+"$BENCH/bench_serve" --json="$OUT/BENCH_serve.json" |
+  tee "$OUT/BENCH_serve.txt"
+
 # The machine-readable before/after artefacts double as repo-root files so
 # tooling (and the acceptance checks) can diff them without knowing the
 # results/ layout.

@@ -25,10 +25,9 @@ DistanceWorkspace& LocalWorkspace() {
   return ws;
 }
 
-// Process-wide mirrors of the per-instance counters. The instance atomics
-// keep their per-engine snapshot/reset semantics (tests and micro-benches
-// depend on them); run-level consumers (IpsRunStats::FromRegistry, the
-// exporters) read these registry totals instead of hand-copying fields.
+// The engine's counts, bound once to their registry names (obs/metrics.h);
+// the registry is the only place they are kept. Run-level consumers
+// (IpsRunStats::FromRegistry, the exporters) and tests read deltas of these.
 struct EngineMetrics {
   obs::Counter& profiles_computed;
   obs::Counter& cache_hits;
@@ -80,6 +79,30 @@ EngineMetrics& Metrics() {
   return *metrics;
 }
 
+// Bumps the registry total and the per-metric labelled counter
+// ("engine.profiles.<name>").
+void BumpProfiles(MetricId metric) {
+  EngineMetrics& m = Metrics();
+  m.profiles_computed.Add(1);
+  m.profiles_by_metric[static_cast<size_t>(metric)]->Add(1);
+}
+
+// Folds one early-abandon kernel invocation's counters into the registry
+// totals and per-metric labelled counters ("engine.eab.candidates.<name>"
+// etc).
+void BumpEab(MetricId metric, const simd::EabCounters& c) {
+  EngineMetrics& m = Metrics();
+  m.eab_candidates.Add(c.candidates);
+  m.eab_lb_pruned.Add(c.lb_pruned);
+  m.eab_abandoned.Add(c.abandoned);
+  m.eab_full.Add(c.full);
+  obs::Counter** slice = m.eab_by_metric[static_cast<size_t>(metric)];
+  slice[0]->Add(c.candidates);
+  slice[1]->Add(c.lb_pruned);
+  slice[2]->Add(c.abandoned);
+  slice[3]->Add(c.full);
+}
+
 // Prefix sums of squares into `out` (size n + 1). The accumulation order
 // matches both DistanceProfileRaw's window-energy prefix and its qq loop,
 // so out.back() is bitwise equal to the serial qq.
@@ -113,12 +136,10 @@ const std::vector<double>* DistanceEngine::CachedPrefix(
     std::lock_guard<std::mutex> lock(cache->prefix_mu);
     auto it = cache->prefix.find(key);
     if (it != cache->prefix.end()) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
       Metrics().cache_hits.Add(1);
       return &it->second;
     }
   }
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
   Metrics().cache_misses.Add(1);
   std::vector<double> fresh;
   PrefixSquaresInto(s, fresh);
@@ -135,12 +156,10 @@ const RollingStats* DistanceEngine::CachedStats(std::span<const double> s,
     std::lock_guard<std::mutex> lock(cache->stats_mu);
     auto it = cache->stats.find(key);
     if (it != cache->stats.end()) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
       Metrics().cache_hits.Add(1);
       return &it->second;
     }
   }
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
   Metrics().cache_misses.Add(1);
   RollingStats fresh = ComputeRollingStats(s, window);
   std::lock_guard<std::mutex> lock(cache->stats_mu);
@@ -157,12 +176,10 @@ const std::vector<std::complex<double>>* DistanceEngine::CachedFft(
     std::lock_guard<std::mutex> lock(cache->fft_mu);
     auto it = map.find(key);
     if (it != map.end()) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
       Metrics().cache_hits.Add(1);
       return &it->second;
     }
   }
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
   Metrics().cache_misses.Add(1);
   std::vector<std::complex<double>> fresh;
   ForwardFftInto(s, padded, reversed, fresh);
@@ -178,12 +195,10 @@ const DistanceEngine::ZnQuery* DistanceEngine::CachedZnQuery(
     std::lock_guard<std::mutex> lock(cache->znq_mu);
     auto it = cache->znq.find(key);
     if (it != cache->znq.end()) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
       Metrics().cache_hits.Add(1);
       return &it->second;
     }
   }
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
   Metrics().cache_misses.Add(1);
   ZnQuery fresh;
   fresh.values = ZNormalize(q);
@@ -195,30 +210,6 @@ const DistanceEngine::ZnQuery* DistanceEngine::CachedZnQuery(
   }
   std::lock_guard<std::mutex> lock(cache->znq_mu);
   return &cache->znq.try_emplace(key, std::move(fresh)).first->second;
-}
-
-void DistanceEngine::BumpProfiles(MetricId metric) {
-  profiles_.fetch_add(1, std::memory_order_relaxed);
-  EngineMetrics& m = Metrics();
-  m.profiles_computed.Add(1);
-  m.profiles_by_metric[static_cast<size_t>(metric)]->Add(1);
-}
-
-void DistanceEngine::BumpEab(MetricId metric, const simd::EabCounters& c) {
-  eab_candidates_.fetch_add(c.candidates, std::memory_order_relaxed);
-  eab_lb_pruned_.fetch_add(c.lb_pruned, std::memory_order_relaxed);
-  eab_abandoned_.fetch_add(c.abandoned, std::memory_order_relaxed);
-  eab_full_.fetch_add(c.full, std::memory_order_relaxed);
-  EngineMetrics& m = Metrics();
-  m.eab_candidates.Add(c.candidates);
-  m.eab_lb_pruned.Add(c.lb_pruned);
-  m.eab_abandoned.Add(c.abandoned);
-  m.eab_full.Add(c.full);
-  obs::Counter** slice = m.eab_by_metric[static_cast<size_t>(metric)];
-  slice[0]->Add(c.candidates);
-  slice[1]->Add(c.lb_pruned);
-  slice[2]->Add(c.abandoned);
-  slice[3]->Add(c.full);
 }
 
 // ------------------------------------------------------------------ kernels
@@ -558,28 +549,6 @@ std::vector<double> DistanceEngine::TransformOne(
     row[s] = MinImpl(series, shapelets[s].view(), &call_cache, metric, ws);
   }
   return row;
-}
-
-EngineCounters DistanceEngine::counters() const {
-  EngineCounters c;
-  c.profiles_computed = profiles_.load(std::memory_order_relaxed);
-  c.stats_cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  c.stats_cache_misses = cache_misses_.load(std::memory_order_relaxed);
-  c.eab_candidates = eab_candidates_.load(std::memory_order_relaxed);
-  c.eab_lb_pruned = eab_lb_pruned_.load(std::memory_order_relaxed);
-  c.eab_abandoned = eab_abandoned_.load(std::memory_order_relaxed);
-  c.eab_full = eab_full_.load(std::memory_order_relaxed);
-  return c;
-}
-
-void DistanceEngine::ResetCounters() {
-  profiles_.store(0, std::memory_order_relaxed);
-  cache_hits_.store(0, std::memory_order_relaxed);
-  cache_misses_.store(0, std::memory_order_relaxed);
-  eab_candidates_.store(0, std::memory_order_relaxed);
-  eab_lb_pruned_.store(0, std::memory_order_relaxed);
-  eab_abandoned_.store(0, std::memory_order_relaxed);
-  eab_full_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace ips

@@ -28,6 +28,9 @@
 // bytes, so a racing double-compute yields identical values and
 // first-insert wins. Parallel batch calls create their worker scratch per
 // call; SubsequenceMinMetric and TransformOne use thread-local scratch.
+// The engine's counts ("engine.*": profiles, artefact-cache traffic, the
+// early-abandon cascade) go straight to the process-wide metrics registry
+// (obs/metrics.h); read them as a Snapshot()/DeltaSince() pair.
 //
 // Lifetime contract: the engine keeps no artefact between calls. A batch
 // call keys its cache on the address and length of its inputs, which is
@@ -38,7 +41,6 @@
 #ifndef IPS_CORE_DISTANCE_ENGINE_H_
 #define IPS_CORE_DISTANCE_ENGINE_H_
 
-#include <atomic>
 #include <complex>
 #include <cstddef>
 #include <cstdint>
@@ -72,21 +74,6 @@ struct DistanceWorkspace {
   /// abandonment triggers early. Purely a visit-order hint -- results stay
   /// bitwise identical whatever the seeds are.
   std::vector<size_t> eab_seed_hints;
-};
-
-/// Monotonic instrumentation counters (snapshot via counters()).
-struct EngineCounters {
-  size_t profiles_computed = 0;   ///< distance profiles evaluated
-  size_t stats_cache_hits = 0;    ///< artefact-cache hits (stats/prefix/FFT)
-  size_t stats_cache_misses = 0;  ///< artefact-cache misses (entry computed)
-  /// Early-abandon cascade accounting (docs/pruning.md), summed over every
-  /// min query that took the pruned path: alignments considered, skipped
-  /// whole by a lower bound, scans cut short, and scans run to completion.
-  /// candidates == lb_pruned + abandoned + full.
-  size_t eab_candidates = 0;
-  size_t eab_lb_pruned = 0;
-  size_t eab_abandoned = 0;
-  size_t eab_full = 0;
 };
 
 /// An ordered (query index, series index) work item for MinForPairs.
@@ -165,11 +152,6 @@ class DistanceEngine {
                                    const std::vector<Subsequence>& shapelets,
                                    MetricId metric);
 
-  // ------------------------------------------------------- instrumentation
-
-  EngineCounters counters() const;
-  void ResetCounters();
-
  private:
   struct SpanKey {
     const double* data;
@@ -231,13 +213,6 @@ class DistanceEngine {
   const ZnQuery* CachedZnQuery(std::span<const double> q,
                                ArtifactCache* cache);
 
-  /// Bumps the per-engine total plus the registry total and the per-metric
-  /// labelled counter ("engine.profiles.<name>").
-  void BumpProfiles(MetricId metric);
-  /// Folds one early-abandon kernel invocation's counters into the engine
-  /// atomics plus the registry totals and per-metric labelled counters
-  /// ("engine.eab.candidates.<name>" etc).
-  void BumpEab(MetricId metric, const simd::EabCounters& c);
 
   // Kernels (bitwise identical to the core/distance.h serial paths). Both
   // operands' artefacts live in `cache` (null: computed into scratch). The
@@ -274,14 +249,6 @@ class DistanceEngine {
 
   size_t num_threads_;
   bool early_abandon_ = true;
-
-  std::atomic<size_t> profiles_{0};
-  std::atomic<size_t> cache_hits_{0};
-  std::atomic<size_t> cache_misses_{0};
-  std::atomic<size_t> eab_candidates_{0};
-  std::atomic<size_t> eab_lb_pruned_{0};
-  std::atomic<size_t> eab_abandoned_{0};
-  std::atomic<size_t> eab_full_{0};
 };
 
 }  // namespace ips

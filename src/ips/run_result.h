@@ -77,7 +77,7 @@ struct IpsRunStats {
   size_t mp_cache_hits = 0;
   size_t mp_cache_misses = 0;
 
-  /// Tiled all-pairs join scheduler accounting (docs/memory.md): immutable
+  /// All-pairs join scheduler accounting (docs/memory.md): immutable
   /// artifact tables built by the parallel precompute pass, entries
   /// materialised in those tables, and pair contexts filled lock-free from
   /// a table. artifact_tables_reused reads the retired

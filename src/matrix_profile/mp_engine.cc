@@ -22,9 +22,8 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Process-wide mirrors of the per-instance counters (same split as
-// core/distance_engine.cc: instance atomics keep per-engine snapshot/reset
-// semantics, the registry carries the run-level totals consumers read).
+// The engine's counts, bound once to their registry names (obs/metrics.h);
+// the registry is the only place they are kept.
 struct MpMetrics {
   obs::Counter& joins_computed;
   obs::Counter& qt_sweeps;
@@ -94,11 +93,6 @@ inline void UpdateMin(double d, size_t neighbor, double& val, size_t& idx) {
 inline size_t RoundUpLane(size_t count) {
   constexpr size_t kLane = ScratchArena::kAlign / sizeof(double);
   return (count + kLane - 1) & ~(kLane - 1);
-}
-
-// Pair t of the lexicographic i<j enumeration over n series.
-inline size_t PairIndexOf(size_t n, size_t i, size_t j) {
-  return i * (2 * n - i - 1) / 2 + (j - i - 1);
 }
 
 }  // namespace
@@ -250,7 +244,6 @@ ArtifactTable MatrixProfileEngine::PrepareAllPairs(
   BuildTable(views, window, metric, /*self_join=*/false, table);
   Metrics().artifact_builds.Add(1);
   Metrics().artifact_entries.Add(table.entry_count());
-  table_builds_.fetch_add(1, std::memory_order_relaxed);
   return table;
 }
 
@@ -273,9 +266,9 @@ size_t MatrixProfileEngine::DiagCells(const SweepContext& cx, size_t diag) {
   return std::min(cx.lb, cx.la - d);
 }
 
-size_t MatrixProfileEngine::ChunkDiagonalsInto(const SweepContext& cx,
-                                               size_t chunks,
-                                               std::span<size_t> out) const {
+size_t MatrixProfileEngine::ChunkDiagonals(const SweepContext& cx,
+                                           size_t chunks,
+                                           std::span<size_t> out) const {
   const size_t count = DiagCount(cx);
   size_t total = 0;
   for (size_t k = 0; k < count; ++k) total += DiagCells(cx, k);
@@ -302,31 +295,6 @@ size_t MatrixProfileEngine::ChunkDiagonalsInto(const SweepContext& cx,
   }
   if (out[written - 1] != count) out[written++] = count;
   return written;
-}
-
-std::vector<size_t> MatrixProfileEngine::ChunkDiagonals(const SweepContext& cx,
-                                                        size_t chunks) const {
-  std::vector<size_t> bounds(std::max<size_t>(chunks, 1) + 1);
-  bounds.resize(ChunkDiagonalsInto(cx, chunks, bounds));
-  return bounds;
-}
-
-size_t MatrixProfileEngine::ResolveTileSize(size_t series_len, size_t window,
-                                            MetricId metric) const {
-  if (tile_size_ != 0) return tile_size_;
-  // Auto tile: a tile pairs two blocks of B series, and a sweep touches
-  // both blocks' values plus their per-window statistics. Target the two
-  // blocks fitting one core's last-level-cache share (~4 MiB) so a tile's
-  // B^2 sweeps hit warm lines; the per-pair QT seed rows stream regardless.
-  const MetricPolicy& policy = GetMetric(metric);
-  const size_t l = series_len - window + 1;
-  size_t doubles = series_len;
-  if (policy.needs_rolling_stats) doubles += 2 * l;  // means + stds
-  if (policy.needs_window_energy) doubles += l;
-  const size_t bytes_per_series = 8 * std::max<size_t>(doubles, 1);
-  constexpr size_t kCacheBudget = size_t{4} << 20;
-  const size_t b = kCacheBudget / (2 * bytes_per_series);
-  return std::clamp<size_t>(b, 2, 64);
 }
 
 void MatrixProfileEngine::SweepPartial::Reset(const SweepContext& cx) {
@@ -569,64 +537,115 @@ void MatrixProfileEngine::RowSweep(const SweepContext& cx, SweepPartial& p) {
 }
 
 void MatrixProfileEngine::MergePartial(const SweepContext& cx,
-                                       const SweepPartial& p,
-                                       MatrixProfile& a_out,
-                                       MatrixProfile* b_out) {
+                                       const SweepPartial& p, PairJoin& out) {
   for (size_t i = 0; i < cx.la; ++i) {
-    UpdateMin(p.a_val[i], p.a_idx[i], a_out.values[i], a_out.indices[i]);
+    UpdateMin(p.a_val[i], p.a_idx[i], out.a_vs_b.values[i],
+              out.a_vs_b.indices[i]);
   }
-  if (cx.want_b && b_out != nullptr) {
+  if (cx.want_b) {
     for (size_t j = 0; j < cx.lb; ++j) {
-      UpdateMin(p.b_val[j], p.b_idx[j], b_out->values[j], b_out->indices[j]);
+      UpdateMin(p.b_val[j], p.b_idx[j], out.b_vs_a.values[j],
+                out.b_vs_a.indices[j]);
     }
   }
 }
 
-void MatrixProfileEngine::RunSweep(const SweepContext& cx, size_t chunks,
-                                   MatrixProfile& a_out, MatrixProfile* b_out) {
-  a_out.values.assign(cx.la, kInf);
-  a_out.indices.assign(cx.la, kNoNeighbor);
-  if (b_out != nullptr) {
-    b_out->values.assign(cx.lb, kInf);
-    b_out->indices.assign(cx.lb, kNoNeighbor);
-  }
-  if (DiagCount(cx) == 0) return;
+void MatrixProfileEngine::Sweep(std::span<const SweepContext> contexts,
+                                std::span<PairJoin> joins) {
+  const size_t count = contexts.size();
+  IPS_CHECK(count >= 1 && joins.size() == count);
 
-  const std::vector<size_t> bounds = ChunkDiagonals(cx, chunks);
-  const size_t parts = bounds.size() - 1;
-
-  // Backing storage for the per-chunk partials: one flat carve out of the
-  // caller's arena, sliced at cache-line strides so concurrent chunk
-  // writers never false-share.
+  // All per-call setup -- chunk bounds, work items and partial-minima
+  // storage -- is carved from the caller's arena under one scope: the
+  // steady-state call performs no heap allocation at all.
   ScratchArena& arena = ScratchArena::ForCurrentThread();
   const ScratchArena::Scope scope(arena);
-  const size_t va = RoundUpLane(cx.la);
-  const size_t vb = cx.want_b ? RoundUpLane(cx.lb) : 0;
-  const size_t stride = va + vb;
-  std::span<double> vals = arena.Alloc<double>(parts * stride);
-  std::span<size_t> idxs = arena.Alloc<size_t>(parts * stride);
-  std::span<SweepPartial> partials = arena.Alloc<SweepPartial>(parts);
-  for (size_t c = 0; c < parts; ++c) {
-    SweepPartial& p = *new (&partials[c]) SweepPartial();
-    p.a_val = vals.subspan(c * stride, cx.la);
-    p.a_idx = idxs.subspan(c * stride, cx.la);
+
+  // Phase 1, parallel over contexts: chunk boundaries and output profile
+  // buffers (assign reuses capacity on repeat batches). With more threads
+  // than contexts, each context's diagonals are split so every worker
+  // stays busy.
+  const size_t chunks_per_context =
+      count >= num_threads_ ? 1 : (num_threads_ + count - 1) / count;
+  const size_t bstride = chunks_per_context + 1;
+  std::span<size_t> bounds = arena.Alloc<size_t>(count * bstride);
+  std::span<size_t> parts = arena.Alloc<size_t>(count);
+  ParallelFor(count, num_threads_, [&](size_t t) {
+    const SweepContext& cx = contexts[t];
+    parts[t] = ChunkDiagonals(cx, chunks_per_context,
+                              bounds.subspan(t * bstride, bstride)) -
+               1;
+    joins[t].a_vs_b.values.assign(cx.la, kInf);
+    joins[t].a_vs_b.indices.assign(cx.la, kNoNeighbor);
     if (cx.want_b) {
-      p.b_val = vals.subspan(c * stride + va, cx.lb);
-      p.b_idx = idxs.subspan(c * stride + va, cx.lb);
+      joins[t].b_vs_a.values.assign(cx.lb, kInf);
+      joins[t].b_vs_a.indices.assign(cx.lb, kNoNeighbor);
+    }
+  });
+
+  // Phase 2 layout: (context, chunk) work items in context order, each
+  // with a cache-line-strided slice of one flat partial-minima carve, so
+  // concurrent chunk writers never false-share.
+  struct WorkItem {
+    size_t context;
+    size_t chunk;
+  };
+  const auto b_lane = [](const SweepContext& cx) {
+    return cx.want_b ? RoundUpLane(cx.lb) : 0;
+  };
+  size_t item_count = 0;
+  size_t value_count = 0;
+  for (size_t t = 0; t < count; ++t) {
+    item_count += parts[t];
+    value_count +=
+        parts[t] * (RoundUpLane(contexts[t].la) + b_lane(contexts[t]));
+  }
+  if (item_count == 0) return;  // only sweeps without diagonals
+  std::span<WorkItem> items = arena.Alloc<WorkItem>(item_count);
+  std::span<SweepPartial> partials = arena.Alloc<SweepPartial>(item_count);
+  std::span<double> vals = arena.Alloc<double>(value_count);
+  std::span<size_t> idxs = arena.Alloc<size_t>(value_count);
+  {
+    size_t pos = 0;
+    size_t off = 0;
+    for (size_t t = 0; t < count; ++t) {
+      const SweepContext& cx = contexts[t];
+      const size_t va = RoundUpLane(cx.la);
+      const size_t vb = b_lane(cx);
+      for (size_t c = 0; c < parts[t]; ++c, ++pos, off += va + vb) {
+        new (&items[pos]) WorkItem{t, c};
+        SweepPartial& p = *new (&partials[pos]) SweepPartial();
+        p.a_val = vals.subspan(off, cx.la);
+        p.a_idx = idxs.subspan(off, cx.la);
+        if (cx.want_b) {
+          p.b_val = vals.subspan(off + va, cx.lb);
+          p.b_idx = idxs.subspan(off + va, cx.lb);
+        }
+      }
     }
   }
 
-  if (parts == 1) {
-    partials[0].Reset(cx);
-    RowSweep(cx, partials[0]);
-  } else {
-    ParallelFor(parts, parts, [&](size_t c) {
-      partials[c].Reset(cx);
-      SweepDiagonals(cx, bounds[c], bounds[c + 1], partials[c]);
-    });
-  }
-  for (size_t c = 0; c < parts; ++c) {
-    MergePartial(cx, partials[c], a_out, b_out);
+  // Phase 2, parallel over work items with private partials.
+  ParallelFor(item_count, num_threads_, [&](size_t w) {
+    const WorkItem& it = items[w];
+    const SweepContext& cx = contexts[it.context];
+    partials[w].Reset(cx);
+    if (parts[it.context] == 1) {
+      // Unsharded context: the row-order fast path (bitwise identical to
+      // the diagonal walk -- same seeds, same chained QT values).
+      RowSweep(cx, partials[w]);
+    } else {
+      SweepDiagonals(cx, bounds[it.context * bstride + it.chunk],
+                     bounds[it.context * bstride + it.chunk + 1],
+                     partials[w]);
+    }
+  });
+
+  // Phase 3, serial merge in item order. Each context's chunks merge into
+  // that context's own outputs, and UpdateMin is visit-order independent.
+  for (size_t w = 0; w < item_count; ++w) {
+    MergePartial(contexts[items[w].context], partials[w],
+                 joins[items[w].context]);
   }
 }
 
@@ -639,8 +658,6 @@ MatrixProfile MatrixProfileEngine::SelfJoin(std::span<const double> series,
   IPS_CHECK(series.size() > window);
   if (exclusion == 0) exclusion = DefaultExclusionZone(window);
   IPS_SPAN("mp_self_join");
-  sweeps_.fetch_add(1, std::memory_order_relaxed);
-  joins_.fetch_add(1, std::memory_order_relaxed);
   BumpSweeps(1, metric);
   Metrics().joins_computed.Add(1);
 
@@ -650,9 +667,9 @@ MatrixProfile MatrixProfileEngine::SelfJoin(std::span<const double> series,
   cx.self = true;
   cx.exclusion = exclusion;
   cx.want_b = false;
-  MatrixProfile mp;
-  RunSweep(cx, num_threads_, mp, nullptr);
-  return mp;
+  PairJoin join;
+  Sweep({&cx, 1}, {&join, 1});
+  return std::move(join.a_vs_b);
 }
 
 MatrixProfile MatrixProfileEngine::AbJoin(std::span<const double> a,
@@ -662,8 +679,6 @@ MatrixProfile MatrixProfileEngine::AbJoin(std::span<const double> a,
   IPS_CHECK(a.size() >= window);
   IPS_CHECK(b.size() >= window);
   IPS_SPAN("mp_ab_join");
-  sweeps_.fetch_add(1, std::memory_order_relaxed);
-  joins_.fetch_add(1, std::memory_order_relaxed);
   BumpSweeps(1, metric);
   Metrics().joins_computed.Add(1);
 
@@ -671,33 +686,9 @@ MatrixProfile MatrixProfileEngine::AbJoin(std::span<const double> a,
   BuildTable({a, b}, window, metric, /*self_join=*/false, table);
   SweepContext cx = MakeContextFromTable(table, 0, 1);
   cx.want_b = false;
-  MatrixProfile mp;
-  RunSweep(cx, num_threads_, mp, nullptr);
-  return mp;
-}
-
-PairJoin MatrixProfileEngine::AbJoinBoth(std::span<const double> a,
-                                         std::span<const double> b,
-                                         size_t window, MetricId metric) {
-  IPS_CHECK(window >= 2);
-  IPS_CHECK(a.size() >= window);
-  IPS_CHECK(b.size() >= window);
-  IPS_SPAN("mp_ab_join");
-  sweeps_.fetch_add(1, std::memory_order_relaxed);
-  joins_.fetch_add(2, std::memory_order_relaxed);
-  halved_.fetch_add(1, std::memory_order_relaxed);
-  BumpSweeps(1, metric);
-  Metrics().joins_computed.Add(2);
-  Metrics().joins_halved.Add(1);
-
-  ArtifactTable table;
-  BuildTable({a, b}, window, metric, /*self_join=*/false, table);
-  const SweepContext cx = MakeContextFromTable(table, 0, 1);
   PairJoin join;
-  join.a = 0;
-  join.b = 1;
-  RunSweep(cx, num_threads_, join.a_vs_b, &join.b_vs_a);
-  return join;
+  Sweep({&cx, 1}, {&join, 1});
+  return std::move(join.a_vs_b);
 }
 
 std::vector<PairJoin> MatrixProfileEngine::JoinAllPairs(
@@ -723,169 +714,29 @@ void MatrixProfileEngine::JoinAllPairsInto(const ArtifactTable& table,
 
 void MatrixProfileEngine::SweepAllPairs(const ArtifactTable& table,
                                         std::vector<PairJoin>& joins) {
-  const std::vector<std::span<const double>>& views = table.views;
-  const size_t window = table.window;
-  const MetricId metric = table.metric;
-  const size_t n = views.size();
+  const size_t n = table.views.size();
   const size_t pair_count = n < 2 ? 0 : n * (n - 1) / 2;
   joins.resize(pair_count);
   if (pair_count == 0) return;
-  {
-    size_t t = 0;
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j, ++t) {
-        joins[t].a = i;
-        joins[t].b = j;
-      }
-    }
-  }
-  sweeps_.fetch_add(pair_count, std::memory_order_relaxed);
-  joins_.fetch_add(2 * pair_count, std::memory_order_relaxed);
-  halved_.fetch_add(pair_count, std::memory_order_relaxed);
-  BumpSweeps(pair_count, metric);
+  BumpSweeps(pair_count, table.metric);
   Metrics().joins_computed.Add(2 * pair_count);
   Metrics().joins_halved.Add(pair_count);
   Metrics().artifact_reads.Add(pair_count);
 
-  // All per-call setup -- contexts, chunk bounds, the tile order, work
-  // items and partial-minima storage -- is carved from the caller's arena
-  // under one scope: the steady-state call performs no heap allocation at
-  // all.
+  // Pair contexts in lexicographic (i, j) order, read from the table and
+  // carved from the caller's arena.
   ScratchArena& arena = ScratchArena::ForCurrentThread();
   const ScratchArena::Scope scope(arena);
-
-  // Phase 1, parallel over pairs: contexts from the table, per-pair chunk boundaries and output profile buffers (assign reuses
-  // capacity on repeat batches). With more threads than pairs, each pair's
-  // diagonals are split so every worker stays busy.
-  const size_t chunks_per_pair =
-      pair_count >= num_threads_
-          ? 1
-          : (num_threads_ + pair_count - 1) / pair_count;
-  const size_t bstride = chunks_per_pair + 1;
   std::span<SweepContext> contexts = arena.Alloc<SweepContext>(pair_count);
-  std::span<size_t> bounds = arena.Alloc<size_t>(pair_count * bstride);
-  std::span<size_t> parts = arena.Alloc<size_t>(pair_count);
-  ParallelFor(pair_count, num_threads_, [&](size_t t) {
-    SweepContext& cx = *new (&contexts[t])
-        SweepContext(MakeContextFromTable(table, joins[t].a, joins[t].b));
-    parts[t] = ChunkDiagonalsInto(cx, chunks_per_pair,
-                                  bounds.subspan(t * bstride, bstride)) -
-               1;
-    joins[t].a_vs_b.values.assign(cx.la, kInf);
-    joins[t].a_vs_b.indices.assign(cx.la, kNoNeighbor);
-    joins[t].b_vs_a.values.assign(cx.lb, kInf);
-    joins[t].b_vs_a.indices.assign(cx.lb, kNoNeighbor);
-  });
-
-  // Tile-scheduled execution order: partition the series into blocks of B
-  // and emit each block pair's joins consecutively, so a tile's ~2B series
-  // (values + per-window statistics) stay cache-resident across its B^2
-  // sweeps instead of being evicted between lexicographically-distant
-  // pairs. Scheduling only: results land in the lexicographic joins slots
-  // and UpdateMin merges are visit-order independent, so output is bitwise
-  // identical for every tile size (set_tile_size(1) restores the historic
-  // order exactly).
-  std::span<size_t> order = arena.Alloc<size_t>(pair_count);
-  const size_t tile = ResolveTileSize(views[0].size(), window, metric);
-  if (tile >= 2 && tile < n) {
-    size_t pos = 0;
-    const size_t blocks = (n + tile - 1) / tile;
-    for (size_t bi = 0; bi < blocks; ++bi) {
-      const size_t ib = bi * tile;
-      const size_t ie = std::min(n, ib + tile);
-      for (size_t bj = bi; bj < blocks; ++bj) {
-        const size_t jb = bj * tile;
-        const size_t je = std::min(n, jb + tile);
-        for (size_t i = ib; i < ie; ++i) {
-          for (size_t j = std::max(jb, i + 1); j < je; ++j) {
-            order[pos++] = PairIndexOf(n, i, j);
-          }
-        }
-      }
-    }
-    IPS_CHECK(pos == pair_count);
-  } else {
-    for (size_t t = 0; t < pair_count; ++t) order[t] = t;
-  }
-
-  // Phase 2 layout: (pair, chunk) work items in tile order, each with a
-  // cache-line-strided slice of one flat partial-minima carve.
-  struct WorkItem {
-    size_t pair;
-    size_t chunk;
-  };
-  size_t item_count = 0;
-  size_t value_count = 0;
-  for (size_t t = 0; t < pair_count; ++t) {
-    item_count += parts[t];
-    value_count +=
-        parts[t] * (RoundUpLane(contexts[t].la) + RoundUpLane(contexts[t].lb));
-  }
-  std::span<WorkItem> items = arena.Alloc<WorkItem>(item_count);
-  std::span<SweepPartial> partials = arena.Alloc<SweepPartial>(item_count);
-  std::span<double> vals = arena.Alloc<double>(value_count);
-  std::span<size_t> idxs = arena.Alloc<size_t>(value_count);
-  {
-    size_t pos = 0;
-    size_t off = 0;
-    for (size_t o = 0; o < pair_count; ++o) {
-      const size_t t = order[o];
-      const size_t va = RoundUpLane(contexts[t].la);
-      const size_t vb = RoundUpLane(contexts[t].lb);
-      for (size_t c = 0; c < parts[t]; ++c, ++pos, off += va + vb) {
-        new (&items[pos]) WorkItem{t, c};
-        SweepPartial& p = *new (&partials[pos]) SweepPartial();
-        p.a_val = vals.subspan(off, contexts[t].la);
-        p.a_idx = idxs.subspan(off, contexts[t].la);
-        p.b_val = vals.subspan(off + va, contexts[t].lb);
-        p.b_idx = idxs.subspan(off + va, contexts[t].lb);
-      }
+  size_t t = 0;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j, ++t) {
+      joins[t].a = i;
+      joins[t].b = j;
+      new (&contexts[t]) SweepContext(MakeContextFromTable(table, i, j));
     }
   }
-
-  // Phase 2, parallel over tile-ordered (pair, chunk) items with private
-  // partials.
-  ParallelFor(item_count, num_threads_, [&](size_t w) {
-    const WorkItem& it = items[w];
-    const SweepContext& cx = contexts[it.pair];
-    partials[w].Reset(cx);
-    if (parts[it.pair] == 1) {
-      // Unsharded pair: the row-order fast path (bitwise identical to the
-      // diagonal walk -- same seeds, same chained QT values).
-      RowSweep(cx, partials[w]);
-    } else {
-      SweepDiagonals(cx, bounds[it.pair * bstride + it.chunk],
-                     bounds[it.pair * bstride + it.chunk + 1], partials[w]);
-    }
-  });
-
-  // Phase 3, serial merge in deterministic item order. Each pair's chunks
-  // merge into that pair's own slots and UpdateMin is visit-order
-  // independent, so the tile order changes nothing against the historic
-  // lexicographic merge.
-  for (size_t w = 0; w < item_count; ++w) {
-    const WorkItem& it = items[w];
-    MergePartial(contexts[it.pair], partials[w], joins[it.pair].a_vs_b,
-                 &joins[it.pair].b_vs_a);
-  }
-}
-
-// ------------------------------------------------------- instrumentation
-
-MpEngineCounters MatrixProfileEngine::counters() const {
-  MpEngineCounters c;
-  c.joins_computed = joins_.load(std::memory_order_relaxed);
-  c.qt_sweeps = sweeps_.load(std::memory_order_relaxed);
-  c.joins_halved = halved_.load(std::memory_order_relaxed);
-  c.table_builds = table_builds_.load(std::memory_order_relaxed);
-  return c;
-}
-
-void MatrixProfileEngine::ResetCounters() {
-  joins_.store(0, std::memory_order_relaxed);
-  sweeps_.store(0, std::memory_order_relaxed);
-  halved_.store(0, std::memory_order_relaxed);
-  table_builds_.store(0, std::memory_order_relaxed);
+  Sweep(contexts, joins);
 }
 
 }  // namespace ips

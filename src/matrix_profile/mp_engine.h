@@ -12,18 +12,19 @@
 //    RollingStats or window energies, forward FFTs and every ordered
 //    pair's seed sliding-dot-products -- built in one parallel pass and
 //    read lock-free by every join of the batch. The ad-hoc entry points
-//    (SelfJoin, AbJoin, AbJoinBoth) build the same table for their one or
-//    two series;
+//    (SelfJoin, AbJoin) build the same table for their one or two series;
 //  * pair symmetry: one QT sweep over an unordered pair yields the row
 //    minima (the a-side profile) AND the column minima (the b-side
 //    profile), because QT values along a diagonal and the z-normalised
 //    distance are both bitwise symmetric under exchanging the sides. This
 //    halves the O(|sample|^2) join count of an all-pairs batch;
-//  * diagonal sharding: a sweep's diagonals are split into cell-balanced
-//    chunks over worker threads, each with private scratch, and the
-//    per-chunk partial minima are merged serially -- so profiles are
-//    bitwise identical to AbJoinProfile / SelfJoinProfile at every thread
-//    count.
+//  * one sweep loop: every entry point hands its sweep contexts to the
+//    same (chunk bounds -> arena partials -> row or diagonal sweep ->
+//    serial merge) loop. When sweeps are fewer than threads, a sweep's
+//    diagonals are split into cell-balanced chunks over worker threads,
+//    each with private scratch, and the per-chunk partial minima are
+//    merged serially -- so profiles are bitwise identical to AbJoinProfile
+//    / SelfJoinProfile at every thread count.
 //
 // Bitwise-identity argument, in full (tests/mp_engine_test.cc asserts it):
 // every QT value chains along its diagonal from a row-0 or column-0 seed by
@@ -35,18 +36,20 @@
 // order-independent (value, index) merge rule computes.
 //
 // Thread-safety contract: all public methods may be called concurrently on
-// one engine; the engine holds no mutable state beyond its counters.
+// one engine; the engine holds no mutable state. Its counts ("mp.*",
+// "engine.artifact_table.*") go straight to the process-wide metrics
+// registry (obs/metrics.h); read them as a Snapshot()/DeltaSince() pair
+// around the code of interest.
 //
 // Lifetime contract: the engine keeps nothing between calls. SelfJoin,
-// AbJoin, AbJoinBoth and JoinAllPairs build a call-local table, so their
-// inputs may be freed or rewritten between calls. PrepareAllPairs returns
-// a table the caller owns; it borrows the views' storage, which must stay
-// unchanged for as long as the caller feeds the table to JoinAllPairsInto.
+// AbJoin and JoinAllPairs build a call-local table, so their inputs may be
+// freed or rewritten between calls. PrepareAllPairs returns a table the
+// caller owns; it borrows the views' storage, which must stay unchanged
+// for as long as the caller feeds the table to JoinAllPairsInto.
 
 #ifndef IPS_MATRIX_PROFILE_MP_ENGINE_H_
 #define IPS_MATRIX_PROFILE_MP_ENGINE_H_
 
-#include <atomic>
 #include <complex>
 #include <cstddef>
 #include <span>
@@ -98,14 +101,6 @@ struct ArtifactTable {
   size_t entry_count() const;
 };
 
-/// Monotonic instrumentation counters (snapshot via counters()).
-struct MpEngineCounters {
-  size_t joins_computed = 0;  ///< directed join profiles produced
-  size_t qt_sweeps = 0;       ///< QT sweeps run (1 per unordered pair)
-  size_t joins_halved = 0;    ///< joins served by a sweep's far side (saved)
-  size_t table_builds = 0;    ///< all-pairs tables built by PrepareAllPairs
-};
-
 /// Both directions of one unordered AB-join: `a_vs_b` annotates windows of
 /// the pair's first series with their nearest window in the second
 /// (== AbJoinProfile(a, b, window) bitwise) and `b_vs_a` the reverse.
@@ -147,30 +142,22 @@ class MatrixProfileEngine {
                          size_t exclusion = 0,
                          MetricId metric = MetricId::kZNormEuclidean);
 
-  /// AbJoinProfile(a, b, window), bitwise identical. Prefer AbJoinBoth or
-  /// JoinAllPairs when the reverse direction is needed too -- this entry
-  /// point runs the sweep without collecting column minima.
+  /// AbJoinProfile(a, b, window), bitwise identical. Use JoinAllPairs({a,
+  /// b}) when the reverse direction is needed too -- this entry point runs
+  /// the sweep without collecting column minima.
   MatrixProfile AbJoin(std::span<const double> a, std::span<const double> b,
                        size_t window,
                        MetricId metric = MetricId::kZNormEuclidean);
 
-  /// Both directions of the (a, b) join from ONE QT sweep: row minima give
-  /// a_vs_b, column minima give b_vs_a, each bitwise identical to the
-  /// corresponding AbJoinProfile call. The `a`/`b` members of the result
-  /// are 0 and 1. Pair symmetry holds for every registered metric -- each
-  /// per-cell distance helper groups its operands so exchanging the sides
-  /// only commutes single IEEE operations (stomp_common.h).
-  PairJoin AbJoinBoth(std::span<const double> a, std::span<const double> b,
-                      size_t window,
-                      MetricId metric = MetricId::kZNormEuclidean);
-
   /// Every unordered pair (i < j) of `views`, each computed once via the
-  /// pair-symmetric sweep, sharded over threads with per-chunk scratch and
-  /// a serial deterministic merge. Result t covers the t-th pair of the
-  /// lexicographic (i, j) enumeration; all profiles are bitwise identical
-  /// to the serial AbJoinProfile in both directions, for any thread count
-  /// or tile size. Requires every view to be at
-  /// least `window` long.
+  /// pair-symmetric sweep: row minima give a_vs_b, column minima give
+  /// b_vs_a. Pair symmetry holds for every registered metric -- each
+  /// per-cell distance helper groups its operands so exchanging the sides
+  /// only commutes single IEEE operations (stomp_common.h). Result t
+  /// covers the t-th pair of the lexicographic (i, j) enumeration; all
+  /// profiles are bitwise identical to the serial AbJoinProfile in both
+  /// directions, for any thread count. Requires every view to be at least
+  /// `window` long.
   std::vector<PairJoin> JoinAllPairs(
       const std::vector<std::span<const double>>& views, size_t window,
       MetricId metric = MetricId::kZNormEuclidean);
@@ -190,14 +177,6 @@ class MatrixProfileEngine {
       const std::vector<std::span<const double>>& views, size_t window,
       MetricId metric = MetricId::kZNormEuclidean);
 
-  /// Cache-blocking tile width of the all-pairs schedule, in series:
-  /// 0 auto-tunes from series length (the default), 1 disables tiling (the
-  /// historic lexicographic order), B >= 2 processes B*B pair tiles so a
-  /// tile's artifacts stay L2/L3-resident across its sweeps. Scheduling
-  /// only -- results are bitwise identical for every value.
-  void set_tile_size(size_t b) { tile_size_ = b; }
-  size_t tile_size() const { return tile_size_; }
-
   /// Provider of precomputed per-series rolling statistics (core/znorm.h),
   /// typically DatasetView::stats_provider() of a store-backed view. When
   /// set, every stats/energy fill of a table build (batch or ad-hoc) asks
@@ -209,9 +188,6 @@ class MatrixProfileEngine {
     stats_provider_ = provider;
   }
   const SeriesStatsProvider* stats_provider() const { return stats_provider_; }
-
-  MpEngineCounters counters() const;
-  void ResetCounters();
 
  private:
   /// One sweep's immutable inputs: the pair, its per-window statistics
@@ -286,44 +262,35 @@ class MatrixProfileEngine {
   static size_t DiagCells(const SweepContext& cx, size_t diag);
 
   /// Splits [0, DiagCount) into at most `chunks` cell-balanced ranges,
-  /// keeping at least min_cells_per_chunk_ cells per range.
-  std::vector<size_t> ChunkDiagonals(const SweepContext& cx,
-                                     size_t chunks) const;
-
-  /// ChunkDiagonals writing its boundaries into `out` (capacity must be at
-  /// least chunks + 1); returns the number of boundaries written. The
-  /// allocation-free form the all-pairs loop uses.
-  size_t ChunkDiagonalsInto(const SweepContext& cx, size_t chunks,
-                            std::span<size_t> out) const;
-
-  /// The tile width the all-pairs schedule will use for this batch: the
-  /// explicit tile_size_ when set, otherwise auto-tuned so two tiles of
-  /// series (values + per-window statistics) fit in a last-level-cache
-  /// share.
-  size_t ResolveTileSize(size_t series_len, size_t window,
-                         MetricId metric) const;
+  /// keeping at least min_cells_per_chunk_ cells per range, and writes the
+  /// range boundaries into `out` (capacity at least chunks + 1). Returns
+  /// the number of boundaries written: one more than the number of ranges,
+  /// and 1 (no range) for a sweep without diagonals.
+  size_t ChunkDiagonals(const SweepContext& cx, size_t chunks,
+                        std::span<size_t> out) const;
 
   /// The all-pairs sweep over `table` into `joins`, shared by JoinAllPairs
   /// and JoinAllPairsInto (which each open the batch's span around it).
   void SweepAllPairs(const ArtifactTable& table, std::vector<PairJoin>& joins);
 
+  /// The one sweep loop behind every entry point. Sweeps contexts[t]
+  /// into joins[t].a_vs_b (and joins[t].b_vs_a when the context wants the
+  /// b side): per-context chunk bounds and output buffers, arena-carved
+  /// partial minima, one (context, chunk) work item per chunk in context
+  /// order -- RowSweep for an unsharded context, SweepDiagonals otherwise
+  /// -- and a serial merge in item order. Contexts fewer than threads are
+  /// split into enough chunks to keep every thread busy. Needs at least
+  /// one context; leaves the joins' a/b indices alone.
+  void Sweep(std::span<const SweepContext> contexts,
+             std::span<PairJoin> joins);
+
   /// Merges a partial into the sweep's output profiles (serial).
   static void MergePartial(const SweepContext& cx, const SweepPartial& partial,
-                           MatrixProfile& a_out, MatrixProfile* b_out);
-
-  /// Runs one sweep with its diagonals sharded over `chunks` workers.
-  void RunSweep(const SweepContext& cx, size_t chunks, MatrixProfile& a_out,
-                MatrixProfile* b_out);
+                           PairJoin& out);
 
   size_t num_threads_;
   size_t min_cells_per_chunk_ = size_t{1} << 16;
   const SeriesStatsProvider* stats_provider_ = nullptr;
-  size_t tile_size_ = 0;  // 0 = auto, 1 = off, >= 2 explicit
-
-  std::atomic<size_t> joins_{0};
-  std::atomic<size_t> sweeps_{0};
-  std::atomic<size_t> halved_{0};
-  std::atomic<size_t> table_builds_{0};
 };
 
 }  // namespace ips

@@ -1,13 +1,12 @@
 // Process-wide metrics registry: named counters and histograms.
 //
-// Before this layer every engine kept its own bag of `std::atomic<size_t>`
-// members and every consumer (IpsRunStats, exp_* binaries) hand-copied them
-// field by field. The registry gives all of them one home: a metric is
+// The registry is the one home of every count the library keeps: the
+// engines and the thread pool hold no per-instance copies. A metric is
 // registered once by name, incremented with relaxed atomics from any
 // thread, and read back as a point-in-time snapshot. Run-level accounting
-// is a delta of two snapshots -- the pattern IpsRunStats::FromRegistry and
-// the benchmark binaries use -- so monotonic process-wide totals serve
-// any number of overlapping observers.
+// is a delta of two snapshots -- the pattern IpsRunStats::FromRegistry,
+// the benchmark binaries and the tests use -- so monotonic process-wide
+// totals serve any number of overlapping observers.
 //
 // Hot-path cost is one relaxed fetch_add per event; registration (the only
 // mutex) happens once per name, so callers bind `Counter&` references up

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "util/check.h"
 
 namespace ips::serve {
 
@@ -16,10 +17,18 @@ obs::Histogram& BatchSizeHistogram() {
   return h;
 }
 
+// An empty batch cannot be classified: the dispatcher needs room for at
+// least the request that anchors each batch. Checked before the
+// dispatcher thread starts.
+AdmissionQueue::Options Checked(AdmissionQueue::Options options) {
+  IPS_CHECK_MSG(options.max_batch >= 1, "AdmissionQueue needs max_batch >= 1");
+  return options;
+}
+
 }  // namespace
 
 AdmissionQueue::AdmissionQueue(Options options)
-    : options_(options), dispatcher_([this] { DispatcherLoop(); }) {}
+    : options_(Checked(options)), dispatcher_([this] { DispatcherLoop(); }) {}
 
 AdmissionQueue::~AdmissionQueue() {
   {

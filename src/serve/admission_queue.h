@@ -44,7 +44,8 @@ class AdmissionQueue {
     /// 0 = no coalescing: every request dispatches as soon as the worker
     /// reaches it (still batched with whatever arrived in the meantime).
     int64_t batch_window_us = 500;
-    /// Hard batch-size cap; a full batch dispatches immediately.
+    /// Hard batch-size cap; a full batch dispatches immediately. Must be
+    /// at least 1 (checked at construction).
     size_t max_batch = 64;
   };
 

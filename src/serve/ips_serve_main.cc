@@ -10,19 +10,28 @@
 // model's artifact + train paths from disk, so replacing the files and
 // sending kReloadRequest is a zero-downtime swap.
 //
+// Numeric flags are parsed strictly: the whole value must be a base-10
+// integer inside the flag's range (port 0..65535, batch_window_us
+// 0..60000000, max_batch 1..65536, log_max_bytes >= 1, log_keep 0..1000).
+// A bad value exits 2 with a message naming the flag, before the daemon
+// listens.
+//
 // Fixture generation (used by CI and the bench soak):
 //   ips_serve --make_fixture=DIR
 // Writes DIR/train.tsv, DIR/test.tsv, DIR/model.ipsrun and a deliberately
 // different DIR/model_alt.ipsrun (same train split, different discovery
 // parameters) so reload tests can swap between two real artifacts.
 
+#include <charconv>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include <iostream>
+#include <limits>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "data/generator.h"
@@ -58,6 +67,24 @@ bool FlagValue(const std::string& arg, const std::string& name,
   const std::string prefix = "--" + name + "=";
   if (arg.rfind(prefix, 0) != 0) return false;
   *value = arg.substr(prefix.size());
+  return true;
+}
+
+// Parses `value` as a base-10 integer in [lo, hi], consuming all of it (no
+// sign other than a leading '-', no whitespace, no suffix). On failure
+// prints an error naming --`name` and returns false.
+bool ParseIntFlag(const std::string& name, const std::string& value,
+                  int64_t lo, int64_t hi, int64_t* out) {
+  int64_t parsed = 0;
+  const char* first = value.data();
+  const char* last = first + value.size();
+  const auto [end, ec] = std::from_chars(first, last, parsed);
+  if (ec != std::errc() || end != last || parsed < lo || parsed > hi) {
+    std::cerr << "error: --" << name << " expects an integer in [" << lo
+              << ", " << hi << "] (got \"" << value << "\")\n";
+    return false;
+  }
+  *out = parsed;
   return true;
 }
 
@@ -117,6 +144,7 @@ int main(int argc, char** argv) {
   std::vector<ModelFlag> models;
   ips::serve::ServerOptions options;
   std::string value;
+  int64_t number = 0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -132,19 +160,27 @@ int main(int argc, char** argv) {
       }
       models.push_back(std::move(flag));
     } else if (FlagValue(arg, "port", &value)) {
-      options.port = std::atoi(value.c_str());
+      if (!ParseIntFlag("port", value, 0, 65535, &number)) return 2;
+      options.port = static_cast<int>(number);
     } else if (FlagValue(arg, "batch_window_us", &value)) {
-      options.queue.batch_window_us = std::atol(value.c_str());
+      if (!ParseIntFlag("batch_window_us", value, 0, 60000000, &number)) {
+        return 2;
+      }
+      options.queue.batch_window_us = number;
     } else if (FlagValue(arg, "max_batch", &value)) {
-      options.queue.max_batch =
-          static_cast<size_t>(std::atol(value.c_str()));
+      if (!ParseIntFlag("max_batch", value, 1, 65536, &number)) return 2;
+      options.queue.max_batch = static_cast<size_t>(number);
     } else if (FlagValue(arg, "access_log", &value)) {
       options.access_log_path = value;
     } else if (FlagValue(arg, "log_max_bytes", &value)) {
-      options.access_log_max_bytes =
-          static_cast<size_t>(std::atol(value.c_str()));
+      if (!ParseIntFlag("log_max_bytes", value, 1,
+                        std::numeric_limits<int64_t>::max(), &number)) {
+        return 2;
+      }
+      options.access_log_max_bytes = static_cast<size_t>(number);
     } else if (FlagValue(arg, "log_keep", &value)) {
-      options.access_log_keep = std::atoi(value.c_str());
+      if (!ParseIntFlag("log_keep", value, 0, 1000, &number)) return 2;
+      options.access_log_keep = static_cast<int>(number);
     } else {
       std::cerr << "error: unknown flag " << arg << "\n";
       return 2;

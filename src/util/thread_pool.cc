@@ -11,9 +11,16 @@
 namespace ips {
 namespace {
 
-// The pool's process-wide counters are registry metrics (obs/metrics.h):
-// ThreadPoolCounters is a view over them, and run-level consumers
-// (IpsRunStats::FromRegistry, the JSON exporters) read the same names.
+// The pool's process-wide counters are registry metrics (obs/metrics.h),
+// kept nowhere else: run-level consumers (IpsRunStats::FromRegistry, the
+// JSON exporters) and tests read deltas of the same names --
+//   pool.regions_dispatched  regions executed on the pool (caller + workers)
+//   pool.regions_inline      regions run entirely on the calling thread: the
+//                            serial fast path (num_threads <= 1 or count <=
+//                            1), the nested-submission guard, and regions
+//                            submitted after shutdown or without workers
+//   pool.tasks_run           indices executed inside pooled regions
+//   pool.chunk_steals        chunks claimed from another participant's shard
 // Bound once here so the hot paths pay one relaxed fetch_add per event and
 // the inline fast paths of ParallelFor can record regions without starting
 // the workers.
@@ -96,16 +103,6 @@ ThreadPool::ThreadPool(size_t workers) {
 }
 
 bool ThreadPool::InRegion() { return t_region_depth > 0; }
-
-ThreadPoolCounters ThreadPool::Counters() {
-  const PoolMetrics& m = Metrics();
-  ThreadPoolCounters c;
-  c.regions_dispatched = m.regions_dispatched.Value();
-  c.regions_inline = m.regions_inline.Value();
-  c.tasks_run = m.tasks_run.Value();
-  c.chunk_steals = m.chunk_steals.Value();
-  return c;
-}
 
 void ThreadPool::NoteInlineRegion() {
   Metrics().regions_inline.Add(1);

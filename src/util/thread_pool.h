@@ -31,21 +31,6 @@
 
 namespace ips {
 
-/// Monotonic process-wide counters, readable at any time (relaxed atomics
-/// underneath). IpsRunStats records deltas of these across a run.
-struct ThreadPoolCounters {
-  /// Parallel regions executed on the pool (caller + workers).
-  size_t regions_dispatched = 0;
-  /// Regions run entirely on the calling thread: the serial fast path
-  /// (num_threads <= 1 or count <= 1), the nested-submission guard, and
-  /// regions submitted after shutdown or on single-core machines.
-  size_t regions_inline = 0;
-  /// Indices executed inside pooled regions (caller and workers).
-  size_t tasks_run = 0;
-  /// Chunks claimed from another participant's shard (work stealing).
-  size_t chunk_steals = 0;
-};
-
 class ThreadPool {
  public:
   /// Type-erased region body: fn(ctx, index, slot). `slot` is the stable
@@ -75,10 +60,6 @@ class ThreadPool {
   /// True while the current thread is executing region indices (worker or
   /// caller). ParallelFor uses this as the nested-submission guard.
   static bool InRegion();
-
-  /// Snapshot of the process-wide counters. Valid before first use (all
-  /// zero) -- reading them never starts the pool.
-  static ThreadPoolCounters Counters();
 
   /// Records an inline region in the counters without starting the pool.
   static void NoteInlineRegion();

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <span>
 #include <thread>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "core/distance.h"
 #include "core/rng.h"
 #include "data/generator.h"
+#include "obs/metrics.h"
 #include "transform/shapelet_transform.h"
 
 namespace ips {
@@ -32,6 +34,26 @@ Dataset SyntheticData(const char* name, size_t train_size, size_t length) {
   spec.test_size = 2;
   spec.length = length;
   return GenerateDataset(spec).train;
+}
+
+// The engine's counts live in the metrics registry only; tests read the
+// delta across the calls they cover.
+struct EngineCounts {
+  uint64_t profiles = 0;
+  uint64_t cache_hits = 0;
+  uint64_t cache_misses = 0;
+};
+
+EngineCounts CountsSince(const obs::MetricsSnapshot& before) {
+  const obs::MetricsSnapshot d =
+      obs::MetricsRegistry::Instance().DeltaSince(before);
+  return {d.CounterValue("engine.profiles_computed"),
+          d.CounterValue("engine.stats_cache_hits"),
+          d.CounterValue("engine.stats_cache_misses")};
+}
+
+obs::MetricsSnapshot Now() {
+  return obs::MetricsRegistry::Instance().Snapshot();
 }
 
 // ---------------------------------------------------------------- single pair
@@ -65,9 +87,10 @@ TEST(DistanceEngineTest, SubsequenceMinFftPathMatchesKernelBitwise) {
   // Within one batch call the FFT/prefix artefacts are cached: the first
   // pair fills, the second hits.
   const std::vector<std::span<const double>> views = {query, series};
+  const obs::MetricsSnapshot before = Now();
   EXPECT_EQ(engine.MinForPairs(views, {{0, 1}, {0, 1}}),
             std::vector<double>({expected, expected}));
-  EXPECT_GT(engine.counters().stats_cache_hits, 0u);
+  EXPECT_GT(CountsSince(before).cache_hits, 0u);
 }
 
 TEST(DistanceEngineTest, SubsequenceMinZNormMatchesKernelBitwise) {
@@ -192,35 +215,29 @@ TEST(DistanceEngineTest, CountersTrackProfilesAndCacheTraffic) {
   const std::vector<std::span<const double>> views = {a, b, c};
   const std::vector<IndexPair> pairs = {{0, 1}, {0, 2}};
   DistanceEngine engine(1);
-  EXPECT_EQ(engine.counters().profiles_computed, 0u);
+  const obs::MetricsSnapshot start = Now();
+  EXPECT_EQ(CountsSince(start).profiles, 0u);
 
   // Single-pair calls cache nothing.
   engine.SubsequenceMinMetric(a, b, MetricId::kRawSquaredEuclidean);
-  const EngineCounters single = engine.counters();
-  EXPECT_EQ(single.profiles_computed, 1u);
-  EXPECT_EQ(single.stats_cache_misses, 0u);
-  EXPECT_EQ(single.stats_cache_hits, 0u);
+  const EngineCounts single = CountsSince(start);
+  EXPECT_EQ(single.profiles, 1u);
+  EXPECT_EQ(single.cache_misses, 0u);
+  EXPECT_EQ(single.cache_hits, 0u);
 
   // Within a batch call, the second pair reuses the query's artefacts.
   engine.MinForPairs(views, pairs);
-  const EngineCounters first = engine.counters();
-  EXPECT_EQ(first.profiles_computed, 3u);
-  EXPECT_GT(first.stats_cache_misses, 0u);
-  EXPECT_GT(first.stats_cache_hits, 0u);
+  const EngineCounts first = CountsSince(start);
+  EXPECT_EQ(first.profiles, 3u);
+  EXPECT_GT(first.cache_misses, 0u);
+  EXPECT_GT(first.cache_hits, 0u);
 
   // Nothing survives the call: a repeat recomputes exactly as much.
   engine.MinForPairs(views, pairs);
-  const EngineCounters second = engine.counters();
-  EXPECT_EQ(second.profiles_computed, 5u);
-  EXPECT_EQ(second.stats_cache_misses, 2 * first.stats_cache_misses);
-  EXPECT_EQ(second.stats_cache_hits, 2 * first.stats_cache_hits);
-
-  // ResetCounters zeroes the telemetry.
-  engine.ResetCounters();
-  const EngineCounters zero = engine.counters();
-  EXPECT_EQ(zero.profiles_computed, 0u);
-  EXPECT_EQ(zero.stats_cache_misses, 0u);
-  EXPECT_EQ(zero.stats_cache_hits, 0u);
+  const EngineCounts second = CountsSince(start);
+  EXPECT_EQ(second.profiles, 5u);
+  EXPECT_EQ(second.cache_misses, 2 * first.cache_misses);
+  EXPECT_EQ(second.cache_hits, 2 * first.cache_hits);
 }
 
 // ------------------------------------------------------------ threaded stress

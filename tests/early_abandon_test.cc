@@ -25,6 +25,7 @@
 #include "core/time_series.h"
 #include "core/znorm.h"
 #include "ips/pipeline.h"
+#include "obs/metrics.h"
 
 namespace ips {
 namespace {
@@ -99,40 +100,56 @@ TEST_P(EarlyAbandonParityTest, BatchApisBitwiseIdentical) {
     for (uint32_t j = 0; j < views.size(); ++j) pairs.emplace_back(i, j);
   }
 
-  DistanceEngine pruned(threads);
-  pruned.set_early_abandon(true);
-  DistanceEngine dense(threads);
-  dense.set_early_abandon(false);
+  // Every call of one engine runs inside its own registry window, so each
+  // engine's counts are read in isolation.
+  struct Outputs {
+    std::vector<std::vector<double>> rows;
+    std::vector<double> singles;
+    std::vector<double> pair_mins;
+    std::vector<double> pairwise;
+    obs::MetricsSnapshot counts;
+  };
+  const auto run = [&](bool early_abandon) {
+    DistanceEngine engine(threads);
+    engine.set_early_abandon(early_abandon);
+    const obs::MetricsSnapshot before =
+        obs::MetricsRegistry::Instance().Snapshot();
+    Outputs out;
+    out.rows = engine.TransformBatch(data, shapelets, metric);
+    for (const auto& view : views) {
+      out.singles.push_back(
+          engine.SubsequenceMinMetric(shapelets[0].view(), view, metric));
+    }
+    out.pair_mins = engine.MinForPairs(views, pairs, metric);
+    out.pairwise = engine.PairwiseSubsequenceMin(shapelets);
+    out.counts = obs::MetricsRegistry::Instance().DeltaSince(before);
+    return out;
+  };
+  const Outputs pruned = run(true);
+  const Outputs dense = run(false);
 
-  const auto rows_p = pruned.TransformBatch(data, shapelets, metric);
-  const auto rows_d = dense.TransformBatch(data, shapelets, metric);
-  ASSERT_EQ(rows_p.size(), rows_d.size());
-  for (size_t i = 0; i < rows_p.size(); ++i) {
-    EXPECT_EQ(rows_p[i], rows_d[i]) << "transform row " << i;
+  ASSERT_EQ(pruned.rows.size(), dense.rows.size());
+  for (size_t i = 0; i < pruned.rows.size(); ++i) {
+    EXPECT_EQ(pruned.rows[i], dense.rows[i]) << "transform row " << i;
   }
-
   for (size_t i = 0; i < views.size(); ++i) {
-    EXPECT_EQ(pruned.SubsequenceMinMetric(shapelets[0].view(), views[i],
-                                          metric),
-              dense.SubsequenceMinMetric(shapelets[0].view(), views[i],
-                                         metric))
-        << "single pair " << i;
+    EXPECT_EQ(pruned.singles[i], dense.singles[i]) << "single pair " << i;
   }
-
-  EXPECT_EQ(pruned.MinForPairs(views, pairs, metric),
-            dense.MinForPairs(views, pairs, metric));
-
-  EXPECT_EQ(pruned.PairwiseSubsequenceMin(shapelets),
-            dense.PairwiseSubsequenceMin(shapelets));
+  EXPECT_EQ(pruned.pair_mins, dense.pair_mins);
+  EXPECT_EQ(pruned.pairwise, dense.pairwise);
 
   // The cascade's work accounting must balance, and the fingerprint
   // counter (profiles_computed) must not see the cascade at all.
-  const EngineCounters cp = pruned.counters();
-  const EngineCounters cd = dense.counters();
-  EXPECT_EQ(cp.eab_candidates,
-            cp.eab_lb_pruned + cp.eab_abandoned + cp.eab_full);
-  EXPECT_EQ(cd.eab_candidates, 0u);
-  EXPECT_EQ(cp.profiles_computed, cd.profiles_computed);
+  const auto count = [](const Outputs& o, const char* name) {
+    return o.counts.CounterValue(name);
+  };
+  EXPECT_EQ(count(pruned, "engine.eab.candidates"),
+            count(pruned, "engine.eab.lb_pruned") +
+                count(pruned, "engine.eab.abandoned") +
+                count(pruned, "engine.eab.full"));
+  EXPECT_EQ(count(dense, "engine.eab.candidates"), 0u);
+  EXPECT_EQ(count(pruned, "engine.profiles_computed"),
+            count(dense, "engine.profiles_computed"));
 }
 
 TEST_P(EarlyAbandonParityTest, SingleAlignmentAndFlatInputs) {

@@ -1,12 +1,12 @@
-// Bitwise-identity suite for the tiled all-pairs join scheduler
-// (docs/memory.md): every combination of {tile width} x {thread count}
-// must reproduce the reference EXACTLY -- the scheduler reorders work and
-// reuses memory, it never changes arithmetic. The reference is the serial
-// AbJoinProfile kernel in both directions for the z-normalised metric, and
-// a 1-thread, untiled engine for the others (the serial kernels are
-// z-normalised only). The CI fingerprint diff holds end-to-end discovery
-// to the same bar; this suite pins the engine layer directly, including
-// the FFT-seed regime and every registered metric.
+// Bitwise-identity suite for the all-pairs join scheduler
+// (docs/memory.md): every thread count must reproduce the reference
+// EXACTLY -- the scheduler splits work and reuses memory, it never changes
+// arithmetic. The reference is the serial AbJoinProfile kernel in both
+// directions for the z-normalised metric, and a 1-thread engine for the
+// others (the serial kernels are z-normalised only). The CI fingerprint
+// diff holds end-to-end discovery to the same bar; this suite pins the
+// engine layer directly, including the FFT-seed regime and every
+// registered metric.
 
 #include "matrix_profile/mp_engine.h"
 
@@ -23,6 +23,7 @@
 #include "core/rng.h"
 #include "matrix_profile/matrix_profile.h"
 #include "matrix_profile/stomp_common.h"
+#include "obs/metrics.h"
 
 namespace ips {
 namespace {
@@ -79,7 +80,6 @@ std::vector<PairJoin> ReferenceJoins(
     MetricId metric) {
   if (metric != MetricId::kZNormEuclidean) {
     MatrixProfileEngine engine(1);
-    engine.set_tile_size(1);
     return engine.JoinAllPairs(views, window, metric);
   }
   std::vector<PairJoin> joins;
@@ -96,26 +96,28 @@ std::vector<PairJoin> ReferenceJoins(
   return joins;
 }
 
+// All-pairs tables built since `before` (the registry keeps the count).
+uint64_t TableBuildsSince(const obs::MetricsSnapshot& before) {
+  return obs::MetricsRegistry::Instance().DeltaSince(before).CounterValue(
+      "engine.artifact_table.builds");
+}
+
 void RunConfigMatrix(const std::vector<std::span<const double>>& views,
                      size_t window, MetricId metric) {
   const std::vector<PairJoin> expected =
       ReferenceJoins(views, window, metric);
-  for (size_t tile : {size_t{1}, size_t{2}, size_t{3}, size_t{0}}) {
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      MatrixProfileEngine engine(threads);
-      engine.set_tile_size(tile);
-      const std::vector<PairJoin> actual =
-          engine.JoinAllPairs(views, window, metric);
-      const std::string config = "tile=" + std::to_string(tile) +
-                                 " threads=" + std::to_string(threads) +
-                                 " metric=" + MetricName(metric);
-      ExpectJoinsBitwiseEqual(expected, actual, config);
-    }
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    MatrixProfileEngine engine(threads);
+    const std::vector<PairJoin> actual =
+        engine.JoinAllPairs(views, window, metric);
+    const std::string config = "threads=" + std::to_string(threads) +
+                               " metric=" + MetricName(metric);
+    ExpectJoinsBitwiseEqual(expected, actual, config);
   }
 }
 
 TEST(JoinSchedulerTest, ConfigMatrixIsBitwiseIdentical) {
-  // Mixed lengths, n = 5 (odd vs every tile width tested above).
+  // Mixed lengths, n = 5 (an odd batch).
   const auto series = MakeSeries(11, {80, 64, 97, 80, 71});
   RunConfigMatrix(ViewsOf(series), /*window=*/12,
                   MetricId::kZNormEuclidean);
@@ -140,17 +142,6 @@ TEST(JoinSchedulerTest, ConfigMatrixHoldsInTheFftSeedRegime) {
                   MetricId::kZNormEuclidean);
 }
 
-TEST(JoinSchedulerTest, TileWiderThanBatchMatches) {
-  const auto series = MakeSeries(19, {50, 50, 50});
-  const auto views = ViewsOf(series);
-  const std::vector<PairJoin> expected =
-      ReferenceJoins(views, 8, MetricId::kZNormEuclidean);
-  MatrixProfileEngine engine(2);
-  engine.set_tile_size(64);  // > n: the tile covers the whole batch
-  ExpectJoinsBitwiseEqual(expected, engine.JoinAllPairs(views, 8),
-                          "tile=64 n=3");
-}
-
 TEST(JoinSchedulerTest, RepeatBatchesIntoSameVectorMatch) {
   const auto series = MakeSeries(23, {70, 85, 64, 90});
   const auto views = ViewsOf(series);
@@ -158,6 +149,8 @@ TEST(JoinSchedulerTest, RepeatBatchesIntoSameVectorMatch) {
       ReferenceJoins(views, 10, MetricId::kZNormEuclidean);
 
   MatrixProfileEngine engine(2);
+  const obs::MetricsSnapshot start =
+      obs::MetricsRegistry::Instance().Snapshot();
   const ArtifactTable table = engine.PrepareAllPairs(views, 10);
   std::vector<PairJoin> joins;
   for (int rep = 0; rep < 3; ++rep) {
@@ -167,13 +160,15 @@ TEST(JoinSchedulerTest, RepeatBatchesIntoSameVectorMatch) {
     ExpectJoinsBitwiseEqual(expected, joins,
                             "rep " + std::to_string(rep));
   }
-  EXPECT_EQ(engine.counters().table_builds, 1u);
+  EXPECT_EQ(TableBuildsSince(start), 1u);
 }
 
 TEST(JoinSchedulerTest, PreparedTableIsReusedByTheJoin) {
   const auto series = MakeSeries(29, {60, 75, 80});
   const auto views = ViewsOf(series);
   MatrixProfileEngine engine(2);
+  const obs::MetricsSnapshot start =
+      obs::MetricsRegistry::Instance().Snapshot();
   const ArtifactTable table = engine.PrepareAllPairs(views, 11);
   EXPECT_EQ(table.window, 11u);
   EXPECT_EQ(table.views.size(), views.size());
@@ -181,14 +176,14 @@ TEST(JoinSchedulerTest, PreparedTableIsReusedByTheJoin) {
 
   std::vector<PairJoin> joins;
   engine.JoinAllPairsInto(table, joins);
-  EXPECT_EQ(engine.counters().table_builds, 1u);  // the explicit prepare
+  EXPECT_EQ(TableBuildsSince(start), 1u);  // the explicit prepare
   ExpectJoinsBitwiseEqual(ReferenceJoins(views, 11,
                                          MetricId::kZNormEuclidean),
                           joins, "prepared");
 
   // A different window is a different table; the held one is untouched.
   const ArtifactTable other = engine.PrepareAllPairs(views, 8);
-  EXPECT_EQ(engine.counters().table_builds, 2u);
+  EXPECT_EQ(TableBuildsSince(start), 2u);
   EXPECT_EQ(other.window, 8u);
   EXPECT_EQ(table.window, 11u);
   engine.JoinAllPairsInto(table, joins);
@@ -198,15 +193,14 @@ TEST(JoinSchedulerTest, PreparedTableIsReusedByTheJoin) {
 }
 
 TEST(JoinSchedulerTest, SelfJoinAndAbJoinUnaffectedByKnobs) {
-  // The ad-hoc entry points bypass the batch scheduler; its knobs must not
-  // disturb them.
+  // The ad-hoc entry points share the batch's sweep loop; forcing the
+  // sharded path must not disturb them.
   const auto series = MakeSeries(31, {90, 76});
   const auto views = ViewsOf(series);
   const MatrixProfile self_e = SelfJoinProfile(views[0], 9, 0);
   const MatrixProfile ab_e = AbJoinProfile(views[0], views[1], 9);
 
   MatrixProfileEngine engine(2);
-  engine.set_tile_size(3);
   engine.set_min_cells_per_chunk(1);
   const MatrixProfile self_a = engine.SelfJoin(views[0], 9, 0);
   const MatrixProfile ab_a = engine.AbJoin(views[0], views[1], 9);

@@ -290,7 +290,7 @@ TEST(MetricMpEngineTest, SelfJoinMatchesBruteForceAtEveryThreadCount) {
   }
 }
 
-TEST(MetricMpEngineTest, AbJoinBothMatchesBruteForceAtEveryThreadCount) {
+TEST(MetricMpEngineTest, PairJoinMatchesBruteForceAtEveryThreadCount) {
   Rng rng(23);
   const std::vector<double> a = RandomSeries(rng, 110);
   const std::vector<double> b = RandomSeries(rng, 140);
@@ -321,7 +321,7 @@ TEST(MetricMpEngineTest, AbJoinBothMatchesBruteForceAtEveryThreadCount) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       MatrixProfileEngine engine(threads);
       engine.set_min_cells_per_chunk(1);
-      const PairJoin pj = engine.AbJoinBoth(av, bv, w, id);
+      const PairJoin pj = engine.JoinAllPairs({av, bv}, w, id).front();
       ASSERT_EQ(pj.a_vs_b.size(), la);
       ASSERT_EQ(pj.b_vs_a.size(), lb);
       for (size_t i = 0; i < la; ++i) {

@@ -7,9 +7,11 @@
 #include "matrix_profile/mp_engine.h"
 
 #include <cstddef>
+#include <cstdint>
 
 #include <algorithm>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/metric.h"
@@ -20,6 +22,7 @@
 #include "ips/config.h"
 #include "ips/instance_profile.h"
 #include "matrix_profile/matrix_profile.h"
+#include "obs/metrics.h"
 #include "gtest/gtest.h"
 
 namespace ips {
@@ -42,6 +45,14 @@ void ExpectProfilesIdentical(const MatrixProfile& expected,
     EXPECT_EQ(expected.values[i], actual.values[i]) << what << " value " << i;
     EXPECT_EQ(expected.indices[i], actual.indices[i]) << what << " index " << i;
   }
+}
+
+// Both directions of the (a, b) join from one sweep: the single pair of
+// JoinAllPairs over the two views.
+PairJoin JoinBoth(MatrixProfileEngine& engine, std::span<const double> a,
+                  std::span<const double> b, size_t window,
+                  MetricId metric = MetricId::kZNormEuclidean) {
+  return engine.JoinAllPairs({a, b}, window, metric).front();
 }
 
 constexpr size_t kThreadCounts[] = {1, 2, 8};
@@ -108,14 +119,14 @@ TEST(MpEngineAbJoinTest, BothDirectionsBitwiseIdentical) {
       ExpectProfilesIdentical(ba, engine.AbJoin(b, a, window), "b vs a");
 
       // One sweep, both sides.
-      const PairJoin both = engine.AbJoinBoth(a, b, window);
+      const PairJoin both = JoinBoth(engine, a, b, window);
       ExpectProfilesIdentical(ab, both.a_vs_b, "pair a side");
       ExpectProfilesIdentical(ba, both.b_vs_a, "pair b side");
 
       // Same, forced onto the fine-grained sharded diagonal path.
       MatrixProfileEngine sharded(threads);
       sharded.set_min_cells_per_chunk(1);
-      const PairJoin sharded_both = sharded.AbJoinBoth(a, b, window);
+      const PairJoin sharded_both = JoinBoth(sharded, a, b, window);
       ExpectProfilesIdentical(ab, sharded_both.a_vs_b, "sharded a side");
       ExpectProfilesIdentical(ba, sharded_both.b_vs_a, "sharded b side");
     }
@@ -134,7 +145,7 @@ TEST(MpEngineAbJoinTest, FftSeedPathBitwiseIdentical) {
   const MatrixProfile self = SelfJoinProfile(a, window);
   for (size_t threads : {1u, 8u}) {
     MatrixProfileEngine engine(threads);
-    const PairJoin both = engine.AbJoinBoth(a, b, window);
+    const PairJoin both = JoinBoth(engine, a, b, window);
     ExpectProfilesIdentical(ab, both.a_vs_b, "fft a side");
     ExpectProfilesIdentical(ba, both.b_vs_a, "fft b side");
     ExpectProfilesIdentical(self, engine.SelfJoin(a, window), "fft self");
@@ -151,7 +162,7 @@ TEST(MpEngineAbJoinTest, SingleWindowSeries) {
   const MatrixProfile ba = AbJoinProfile(b, a, window);
   for (size_t threads : kThreadCounts) {
     MatrixProfileEngine engine(threads);
-    const PairJoin both = engine.AbJoinBoth(a, b, window);
+    const PairJoin both = JoinBoth(engine, a, b, window);
     ExpectProfilesIdentical(ab, both.a_vs_b, "one-window a side");
     ExpectProfilesIdentical(ba, both.b_vs_a, "one-window b side");
   }
@@ -185,6 +196,32 @@ TEST(MpEngineJoinAllPairsTest, EveryPairBothDirections) {
   }
 }
 
+// The engine's counts live in the metrics registry only; each check reads
+// the delta across the calls it covers.
+struct MpCounts {
+  uint64_t qt_sweeps = 0;
+  uint64_t joins_computed = 0;
+  uint64_t joins_halved = 0;
+  uint64_t table_builds = 0;
+  uint64_t table_reads = 0;
+};
+
+MpCounts CountsSince(const obs::MetricsSnapshot& before) {
+  const obs::MetricsSnapshot d =
+      obs::MetricsRegistry::Instance().DeltaSince(before);
+  MpCounts c;
+  c.qt_sweeps = d.CounterValue("mp.qt_sweeps");
+  c.joins_computed = d.CounterValue("mp.joins_computed");
+  c.joins_halved = d.CounterValue("mp.joins_halved");
+  c.table_builds = d.CounterValue("engine.artifact_table.builds");
+  c.table_reads = d.CounterValue("engine.artifact_table.reads");
+  return c;
+}
+
+obs::MetricsSnapshot Now() {
+  return obs::MetricsRegistry::Instance().Snapshot();
+}
+
 TEST(MpEngineCountersTest, PairSymmetryHalvesJoins) {
   Rng rng(31);
   std::vector<std::vector<double>> series;
@@ -194,8 +231,9 @@ TEST(MpEngineCountersTest, PairSymmetryHalvesJoins) {
   // The batch builds one immutable artifact table, and a repeat batch
   // builds its own (the engine keeps nothing between calls).
   MatrixProfileEngine tabled(2);
+  const obs::MetricsSnapshot start = Now();
   tabled.JoinAllPairs(views, 10);
-  const MpEngineCounters t1 = tabled.counters();
+  const MpCounts t1 = CountsSince(start);
   // 3 unordered pairs serve all 6 directed joins of the historic code.
   EXPECT_EQ(t1.qt_sweeps, 3u);
   EXPECT_EQ(t1.joins_computed, 6u);
@@ -203,7 +241,7 @@ TEST(MpEngineCountersTest, PairSymmetryHalvesJoins) {
   EXPECT_EQ(t1.table_builds, 1u);
 
   tabled.JoinAllPairs(views, 10);
-  const MpEngineCounters t2 = tabled.counters();
+  const MpCounts t2 = CountsSince(start);
   EXPECT_EQ(t2.qt_sweeps, 6u);
   EXPECT_EQ(t2.table_builds, 2u);
 
@@ -212,14 +250,63 @@ TEST(MpEngineCountersTest, PairSymmetryHalvesJoins) {
   std::vector<PairJoin> joins;
   tabled.JoinAllPairsInto(table, joins);
   tabled.JoinAllPairsInto(table, joins);
-  const MpEngineCounters t3 = tabled.counters();
+  const MpCounts t3 = CountsSince(start);
   EXPECT_EQ(t3.qt_sweeps, 12u);
   EXPECT_EQ(t3.table_builds, 3u);
+}
 
-  tabled.ResetCounters();
-  const MpEngineCounters zero = tabled.counters();
-  EXPECT_EQ(zero.joins_computed, 0u);
-  EXPECT_EQ(zero.table_builds, 0u);
+// Every entry point bumps exactly its own counts, whatever the thread
+// count and however finely the shared sweep loop chunks its sweeps: the
+// ad-hoc joins 1 sweep and 1 join with no all-pairs table, an n-series
+// batch C(n, 2) sweeps, 2 C(n, 2) joins, C(n, 2) halved joins, one table
+// build and C(n, 2) table reads.
+TEST(MpEngineCountersTest, EntryPointCountsHoldAtEveryChunking) {
+  Rng rng(43);
+  std::vector<std::vector<double>> series;
+  for (size_t n : {90u, 70u, 84u, 77u}) series.push_back(RandomWalk(rng, n));
+  const std::vector<std::span<const double>> views(series.begin(),
+                                                   series.end());
+  const size_t w = 9;
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    for (const bool fine : {true, false}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   (fine ? " min_cells=1" : " min_cells=default"));
+      MatrixProfileEngine engine(threads);
+      if (fine) engine.set_min_cells_per_chunk(1);
+
+      obs::MetricsSnapshot before = Now();
+      engine.SelfJoin(views[0], w);
+      MpCounts c = CountsSince(before);
+      EXPECT_EQ(c.qt_sweeps, 1u);
+      EXPECT_EQ(c.joins_computed, 1u);
+      EXPECT_EQ(c.joins_halved, 0u);
+      EXPECT_EQ(c.table_builds, 0u);
+      EXPECT_EQ(c.table_reads, 0u);
+
+      before = Now();
+      engine.AbJoin(views[0], views[1], w);
+      c = CountsSince(before);
+      EXPECT_EQ(c.qt_sweeps, 1u);
+      EXPECT_EQ(c.joins_computed, 1u);
+      EXPECT_EQ(c.joins_halved, 0u);
+      EXPECT_EQ(c.table_builds, 0u);
+      EXPECT_EQ(c.table_reads, 0u);
+
+      for (const size_t n : {size_t{2}, size_t{4}}) {
+        const std::vector<std::span<const double>> batch(views.begin(),
+                                                         views.begin() + n);
+        const uint64_t pairs = n * (n - 1) / 2;
+        before = Now();
+        engine.JoinAllPairs(batch, w);
+        c = CountsSince(before);
+        EXPECT_EQ(c.qt_sweeps, pairs) << n << " series";
+        EXPECT_EQ(c.joins_computed, 2 * pairs) << n << " series";
+        EXPECT_EQ(c.joins_halved, pairs) << n << " series";
+        EXPECT_EQ(c.table_builds, 1u) << n << " series";
+        EXPECT_EQ(c.table_reads, pairs) << n << " series";
+      }
+    }
+  }
 }
 
 TEST(MpEngineInstanceProfileTest, EngineMatchesSerialConstruction) {
@@ -312,13 +399,13 @@ TEST(MpEngineStorageReuseTest, AdHocJoinsSeeRewrittenStorage) {
         refill();
         const MatrixProfile self = engine.SelfJoin(a, w, 0, metric);
         const MatrixProfile ab = engine.AbJoin(a, b, w, metric);
-        const PairJoin both = engine.AbJoinBoth(a, b, w, metric);
+        const PairJoin both = JoinBoth(engine, a, b, w, metric);
         // A fresh engine has never seen these buffers.
         MatrixProfileEngine fresh(1);
         ExpectProfilesIdentical(fresh.SelfJoin(a, w, 0, metric), self,
                                 "self");
         ExpectProfilesIdentical(fresh.AbJoin(a, b, w, metric), ab, "ab");
-        const PairJoin fresh_both = fresh.AbJoinBoth(a, b, w, metric);
+        const PairJoin fresh_both = JoinBoth(fresh, a, b, w, metric);
         ExpectProfilesIdentical(fresh_both.a_vs_b, both.a_vs_b, "both a");
         ExpectProfilesIdentical(fresh_both.b_vs_a, both.b_vs_a, "both b");
         if (metric == MetricId::kZNormEuclidean) {
@@ -362,7 +449,7 @@ TEST(MpEngineStorageReuseTest, JoinAllPairsSeesRewrittenStorage) {
         MatrixProfileEngine fresh(1);
         for (const PairJoin& pj : joins) {
           const PairJoin expected =
-              fresh.AbJoinBoth(views[pj.a], views[pj.b], w, metric);
+              JoinBoth(fresh, views[pj.a], views[pj.b], w, metric);
           ExpectProfilesIdentical(expected.a_vs_b, pj.a_vs_b, "batch a");
           ExpectProfilesIdentical(expected.b_vs_a, pj.b_vs_a, "batch b");
         }
@@ -381,15 +468,16 @@ TEST(MpEngineStorageReuseTest, AdHocJoinsLeaveCallerHeldTableAlone) {
   std::vector<std::span<const double>> views(series.begin(), series.end());
 
   MatrixProfileEngine engine(2);
+  const obs::MetricsSnapshot start = Now();
   const ArtifactTable table = engine.PrepareAllPairs(views, 10);
   std::vector<PairJoin> before;
   engine.JoinAllPairsInto(table, before);
   engine.SelfJoin(views[0], 10);
   engine.AbJoin(views[0], views[1], 10);
-  engine.AbJoinBoth(views[1], views[2], 10);
+  engine.AbJoin(views[2], views[1], 10);
   std::vector<PairJoin> after;
   engine.JoinAllPairsInto(table, after);
-  EXPECT_EQ(engine.counters().table_builds, 1u);
+  EXPECT_EQ(CountsSince(start).table_builds, 1u);
 
   ASSERT_EQ(before.size(), 3u);
   ASSERT_EQ(after.size(), before.size());

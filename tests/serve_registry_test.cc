@@ -258,5 +258,14 @@ TEST(ModelRegistryTest, UnknownNamesAndBadSources) {
   EXPECT_EQ(registry.size(), 0u);
 }
 
+// A zero batch cap would make the dispatcher build an empty batch and
+// classify it on the first request; construction refuses it instead.
+TEST(AdmissionQueueDeathTest, ZeroMaxBatchIsRefused) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  AdmissionQueue::Options options;
+  options.max_batch = 0;
+  EXPECT_DEATH({ AdmissionQueue queue(options); }, "max_batch");
+}
+
 }  // namespace
 }  // namespace ips::serve

@@ -8,6 +8,7 @@
 #include "util/thread_pool.h"
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 
 #include <numeric>
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "util/parallel.h"
 
 namespace ips {
@@ -30,18 +32,36 @@ const bool kForcePoolWorkers = [] {
   return true;
 }();
 
+// The pool's process-wide counts, read from the metrics registry (their
+// only home). Reading them never starts the pool.
+struct PoolCounts {
+  uint64_t regions_dispatched = 0;
+  uint64_t regions_inline = 0;
+  uint64_t tasks_run = 0;
+  uint64_t chunk_steals = 0;
+};
+
+PoolCounts ReadPoolCounts() {
+  const obs::MetricsSnapshot snap =
+      obs::MetricsRegistry::Instance().Snapshot();
+  return {snap.CounterValue("pool.regions_dispatched"),
+          snap.CounterValue("pool.regions_inline"),
+          snap.CounterValue("pool.tasks_run"),
+          snap.CounterValue("pool.chunk_steals")};
+}
+
 TEST(ThreadPoolTest, WorkerCountMatchesEnvOverride) {
   ASSERT_TRUE(kForcePoolWorkers);
   EXPECT_EQ(ThreadPool::Instance().worker_count(), 7u);
 }
 
 TEST(ThreadPoolTest, DispatchedRegionRunsEveryIndexExactlyOnce) {
-  const ThreadPoolCounters before = ThreadPool::Counters();
+  const PoolCounts before = ReadPoolCounts();
   std::vector<std::atomic<int>> hits(997);  // prime: uneven shard bounds
   ParallelFor(hits.size(), 8, [&](size_t i) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 
-  const ThreadPoolCounters after = ThreadPool::Counters();
+  const PoolCounts after = ReadPoolCounts();
   EXPECT_EQ(after.regions_dispatched, before.regions_dispatched + 1);
   EXPECT_EQ(after.tasks_run, before.tasks_run + hits.size());
 }
@@ -96,7 +116,7 @@ TEST(ThreadPoolTest, ConcurrentRegionsFromMultipleCallerThreads) {
 TEST(ThreadPoolTest, NestedParallelForInsidePoolTaskRunsInline) {
   constexpr size_t kOuter = 8;
   constexpr size_t kInner = 50;
-  const ThreadPoolCounters before = ThreadPool::Counters();
+  const PoolCounts before = ReadPoolCounts();
   std::vector<int> same_thread(kOuter, 0);
   std::vector<long> inner_sums(kOuter, 0);
   ParallelFor(kOuter, 8, [&](size_t o) {
@@ -119,7 +139,7 @@ TEST(ThreadPoolTest, NestedParallelForInsidePoolTaskRunsInline) {
     }
     EXPECT_EQ(inner_sums[o], expected) << "outer " << o;
   }
-  const ThreadPoolCounters after = ThreadPool::Counters();
+  const PoolCounts after = ReadPoolCounts();
   // One dispatched outer region; every nested region hit the inline guard.
   EXPECT_EQ(after.regions_dispatched, before.regions_dispatched + 1);
   EXPECT_GE(after.regions_inline, before.regions_inline + kOuter);
@@ -180,7 +200,7 @@ TEST(ThreadPoolTest, OutputsBitwiseIdenticalAcrossThreadCounts) {
 }
 
 TEST(ThreadPoolTest, CountersAreMonotonic) {
-  const ThreadPoolCounters before = ThreadPool::Counters();
+  const PoolCounts before = ReadPoolCounts();
   std::vector<double> out(256);
   // Imbalanced items give stealing something to do; steals are scheduling-
   // dependent, so only monotonicity is asserted.
@@ -190,7 +210,7 @@ TEST(ThreadPoolTest, CountersAreMonotonic) {
     out[i] = sink;
   });
   ParallelFor(1, 8, [&](size_t i) { out[i] = 0.0; });  // inline by contract
-  const ThreadPoolCounters after = ThreadPool::Counters();
+  const PoolCounts after = ReadPoolCounts();
   EXPECT_GE(after.regions_dispatched, before.regions_dispatched + 1);
   EXPECT_GE(after.regions_inline, before.regions_inline + 1);
   EXPECT_GE(after.tasks_run, before.tasks_run + 256);
@@ -205,11 +225,11 @@ TEST(ThreadPoolTest, ShutdownIsIdempotentAndFallsBackInline) {
   ThreadPool::Instance().Shutdown();  // idempotent
   EXPECT_EQ(ThreadPool::Instance().worker_count(), 0u);
 
-  const ThreadPoolCounters before = ThreadPool::Counters();
+  const PoolCounts before = ReadPoolCounts();
   std::vector<int> hits(100, 0);
   ParallelFor(hits.size(), 8, [&](size_t i) { ++hits[i]; });
   for (int h : hits) EXPECT_EQ(h, 1);
-  const ThreadPoolCounters after = ThreadPool::Counters();
+  const PoolCounts after = ReadPoolCounts();
   EXPECT_EQ(after.regions_dispatched, before.regions_dispatched);
   EXPECT_EQ(after.regions_inline, before.regions_inline + 1);
 }
