@@ -4,7 +4,10 @@
 // Two sections:
 //   join            engine-level all-pairs joins over many short series
 //                   (the overhead-dominated regime candidate generation
-//                   lives in) at 8 threads, best of 3 after a warmup
+//                   lives in) at 8 threads: 9 timed repeats after an
+//                   untimed warm-up, reported as median, quartiles and
+//                   min/max (one cold outlier moves the max, not the
+//                   median)
 //   allocations     heap allocations inside a warm JoinAllPairsInto batch,
 //                   counted by a global operator-new override; the
 //                   per-pair figure differences two batch sizes so
@@ -24,8 +27,8 @@
 #include <cstring>
 #include <new>
 
+#include <algorithm>
 #include <bit>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -129,16 +132,6 @@ std::vector<std::span<const double>> ViewsOf(
   return {series.begin(), series.end()};
 }
 
-double BestOfS(const std::function<void()>& fn, int trials) {
-  double best = 1e300;
-  for (int t = 0; t < trials; ++t) {
-    Timer timer;
-    fn();
-    best = std::min(best, timer.ElapsedSeconds());
-  }
-  return best;
-}
-
 // The serial kernels' joins of every unordered pair, in JoinAllPairs order.
 std::vector<PairJoin> ReferenceJoins(
     const std::vector<std::span<const double>>& views, size_t window) {
@@ -158,27 +151,34 @@ std::vector<PairJoin> ReferenceJoins(
 
 struct JoinPoint {
   size_t threads = 0;
-  double seconds = 0.0;
+  /// Timed repeats, sorted ascending.
+  std::vector<double> seconds;
   bool checksum_equal = false;
+
+  /// Nearest-rank quantile of the repeats, q in [0, 1].
+  double Quantile(double q) const {
+    return seconds[static_cast<size_t>(q * (seconds.size() - 1) + 0.5)];
+  }
 };
 
-// Every trial builds its own artifact table, as each candidate-generation
+// Every repeat builds its own artifact table, as each candidate-generation
 // join does.
 JoinPoint BenchJoin(const std::vector<std::span<const double>>& views,
-                    size_t window, size_t threads, int trials,
+                    size_t window, size_t threads, int repeats,
                     uint64_t reference) {
   MatrixProfileEngine engine(threads);
   std::vector<PairJoin> joins;
   JoinPoint p;
   p.threads = threads;
   // Untimed warmup: page in code and data, fault in the output capacity,
-  // so the first timed trial is not systematically colder than the rest.
+  // so the first timed repeat is not systematically colder than the rest.
   engine.JoinAllPairsInto(engine.PrepareAllPairs(views, window), joins);
-  p.seconds = BestOfS(
-      [&] {
-        engine.JoinAllPairsInto(engine.PrepareAllPairs(views, window), joins);
-      },
-      trials);
+  for (int r = 0; r < repeats; ++r) {
+    Timer timer;
+    engine.JoinAllPairsInto(engine.PrepareAllPairs(views, window), joins);
+    p.seconds.push_back(timer.ElapsedSeconds());
+  }
+  std::sort(p.seconds.begin(), p.seconds.end());
   p.checksum_equal = ChecksumJoins(joins) == reference;
   return p;
 }
@@ -212,10 +212,13 @@ int Main(int argc, char** argv) {
   const auto views = ViewsOf(series);
 
   const uint64_t reference = ChecksumJoins(ReferenceJoins(views, window));
-  const JoinPoint join = BenchJoin(views, window, 8, 3, reference);
-  std::printf("all-pairs join (%zu threads, 256 series x 20): %.4fs %s\n",
-              join.threads, join.seconds,
-              join.checksum_equal ? "ok" : "CHECKSUM MISMATCH");
+  const JoinPoint join = BenchJoin(views, window, 8, 9, reference);
+  std::printf(
+      "all-pairs join (%zu threads, 256 series x 20, %zu repeats): "
+      "median %.4fs [q1 %.4f, q3 %.4f; min %.4f, max %.4f] %s\n",
+      join.threads, join.seconds.size(), join.Quantile(0.5),
+      join.Quantile(0.25), join.Quantile(0.75), join.seconds.front(),
+      join.seconds.back(), join.checksum_equal ? "ok" : "CHECKSUM MISMATCH");
 
   // Allocation counts at two batch sizes; the per-pair slope differences
   // out per-batch constants (span labels, pool region dispatch).
@@ -247,7 +250,12 @@ int Main(int argc, char** argv) {
   doc.Set("hardware_threads", static_cast<double>(HardwareThreads()));
   obs::JsonValue join_doc = obs::JsonValue::Object();
   join_doc.Set("threads", static_cast<double>(join.threads));
-  join_doc.Set("seconds", join.seconds);
+  join_doc.Set("repeats", static_cast<double>(join.seconds.size()));
+  join_doc.Set("median_seconds", join.Quantile(0.5));
+  join_doc.Set("q1_seconds", join.Quantile(0.25));
+  join_doc.Set("q3_seconds", join.Quantile(0.75));
+  join_doc.Set("min_seconds", join.seconds.front());
+  join_doc.Set("max_seconds", join.seconds.back());
   join_doc.Set("checksum_equal", join.checksum_equal);
   doc.Set("join", std::move(join_doc));
   obs::JsonValue alloc = obs::JsonValue::Object();

@@ -34,8 +34,6 @@
 
 namespace ips {
 
-class SeriesStatsProvider;  // core/znorm.h
-
 /// The label value meaning "unlabelled" (query batches, generated data
 /// before labelling). Views skip unlabelled series in NumClasses(); labels
 /// below kUnlabeledSeries are invalid everywhere.
@@ -146,14 +144,6 @@ class DatasetView {
   /// chunk spanning everything (correct for any in-RAM implementation).
   using ChunkFn = std::function<void(size_t, std::span<const SeriesView>)>;
   virtual void ForEachChunk(const ChunkFn& fn) const;
-
-  /// Provider of precomputed per-series rolling statistics (core/znorm.h),
-  /// or nullptr. Store-backed views serve write-time sidecars through
-  /// this, letting MatrixProfileEngine::PrepareAllPairs skip its stats
-  /// pass with bitwise-identical results.
-  virtual const SeriesStatsProvider* stats_provider() const {
-    return nullptr;
-  }
 
   bool empty() const { return size() == 0; }
   SeriesView operator[](size_t i) const { return At(i); }

@@ -48,28 +48,6 @@ std::vector<double> ComputeWindowEnergies(std::span<const double> x, size_t w);
 /// (constant window) by the normalised-distance kernels.
 inline constexpr double kFlatStdEpsilon = 1e-8;
 
-/// Serves precomputed per-series rolling statistics. A DatasetView whose
-/// storage carries write-time sidecars (the columnar store's per-series
-/// prefix tables, src/store/) implements this; MatrixProfileEngine asks it
-/// before running its own stats pass.
-///
-/// Contract: a successful Fill* must be BITWISE identical to calling
-/// ComputeRollingStats / ComputeWindowEnergies on `series` -- providers
-/// reproduce the exact accumulation order (store sidecars hold the same
-/// prefix tables those functions build internally, so the per-window
-/// arithmetic is literally the same). Return false when the storage is not
-/// recognised or the window is unservable; the caller then computes.
-class SeriesStatsProvider {
- public:
-  virtual ~SeriesStatsProvider() = default;
-
-  virtual bool FillRollingStats(std::span<const double> series, size_t window,
-                                RollingStats* out) const = 0;
-  virtual bool FillWindowEnergies(std::span<const double> series,
-                                  size_t window,
-                                  std::vector<double>* out) const = 0;
-};
-
 }  // namespace ips
 
 #endif  // IPS_CORE_ZNORM_H_

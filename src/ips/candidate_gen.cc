@@ -78,8 +78,9 @@ CandidatePool GenerateCandidates(const DatasetView& train,
   struct Task {
     int label;
     // Views into the training view's storage, not copies: for an
-    // out-of-core train set the samples address mapped chunks directly,
-    // which is what lets the engine's stats provider recognise them.
+    // out-of-core train set the samples address mapped chunks directly.
+    // The engine derives every statistic from these values, so a store
+    // and an in-RAM train set give bitwise-identical profiles.
     std::vector<SeriesView> sample;
     std::vector<size_t> dataset_index;  // provenance of each sample member
     std::vector<Subsequence> motifs;    // task-local outputs
@@ -124,9 +125,6 @@ CandidatePool GenerateCandidates(const DatasetView& train,
       Task& task = tasks[t];
       // Per-task engine; each join builds and drops its own artifact table.
       MatrixProfileEngine engine(inner);
-      // Store-backed training views serve write-time sidecars through this,
-      // replacing the engine's stats pass with bitwise-identical fills.
-      engine.set_stats_provider(train.stats_provider());
       for (size_t window : lengths) {
         if (min_length < window) continue;
         const InstanceProfile ip = ComputeInstanceProfile(

@@ -68,23 +68,16 @@ struct IpsRunStats {
   /// the MatrixProfileEngine totals over the per-task engines.
   /// mp_joins_halved counts directed joins served by a pair-symmetric
   /// sweep's far side -- work the pre-engine code computed from scratch.
-  /// mp_cache_hits/misses read the retired "mp.cache_*" counters, which
-  /// nothing bumps any more; they stay so the run-JSON format is stable.
   double profile_seconds = 0.0;
   size_t mp_joins_computed = 0;
   size_t mp_qt_sweeps = 0;
   size_t mp_joins_halved = 0;
-  size_t mp_cache_hits = 0;
-  size_t mp_cache_misses = 0;
 
   /// All-pairs join scheduler accounting (docs/memory.md): immutable
   /// artifact tables built by the parallel precompute pass, entries
   /// materialised in those tables, and pair contexts filled lock-free from
-  /// a table. artifact_tables_reused reads the retired
-  /// "engine.artifact_table.reuses" counter, which nothing bumps any more;
-  /// it stays so the stats format is stable.
+  /// a table.
   size_t artifact_tables_built = 0;
-  size_t artifact_tables_reused = 0;
   size_t artifact_entries = 0;
   size_t artifact_reads = 0;
 

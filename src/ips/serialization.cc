@@ -146,8 +146,6 @@ obs::JsonValue RunStatsToJson(const IpsRunStats& stats) {
   json.Set("mp_joins_computed", stats.mp_joins_computed);
   json.Set("mp_qt_sweeps", stats.mp_qt_sweeps);
   json.Set("mp_joins_halved", stats.mp_joins_halved);
-  json.Set("mp_cache_hits", stats.mp_cache_hits);
-  json.Set("mp_cache_misses", stats.mp_cache_misses);
   json.Set("pool_regions", stats.pool_regions);
   json.Set("pool_inline_regions", stats.pool_inline_regions);
   json.Set("pool_tasks_run", stats.pool_tasks_run);
@@ -189,8 +187,6 @@ std::optional<IpsRunStats> RunStatsFromJson(const obs::JsonValue& json) {
       read_count("mp_joins_computed", s.mp_joins_computed) &&
       read_count("mp_qt_sweeps", s.mp_qt_sweeps) &&
       read_count("mp_joins_halved", s.mp_joins_halved) &&
-      read_count("mp_cache_hits", s.mp_cache_hits) &&
-      read_count("mp_cache_misses", s.mp_cache_misses) &&
       read_count("pool_regions", s.pool_regions) &&
       read_count("pool_inline_regions", s.pool_inline_regions) &&
       read_count("pool_tasks_run", s.pool_tasks_run) &&

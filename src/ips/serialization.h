@@ -70,7 +70,8 @@ std::optional<std::vector<Subsequence>> LoadShapelets(
 obs::JsonValue RunStatsToJson(const IpsRunStats& stats);
 
 /// Inverse of RunStatsToJson; nullopt when a field is missing or of the
-/// wrong type.
+/// wrong type. Keys it does not know are ignored, so artifacts carrying
+/// retired fields (e.g. "mp_cache_hits") still load.
 std::optional<IpsRunStats> RunStatsFromJson(const obs::JsonValue& json);
 
 /// Serialises a whole run (shapelets + metric + stats + trace) in the run

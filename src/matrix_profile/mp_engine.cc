@@ -161,21 +161,14 @@ void MatrixProfileEngine::BuildTable(
   table.fft_query.resize(n * n_sizes);
   table.seeds.resize(n * n);
 
-  // Pass A, parallel over series: per-window statistics (served by the
-  // stats provider when it has them, bitwise identical to computing), the
-  // series-side transform at the series' own padded size, and query-side
-  // (reversed first window) transforms at every size in play.
+  // Pass A, parallel over series: per-window statistics, the series-side
+  // transform at the series' own padded size, and query-side (reversed
+  // first window) transforms at every size in play.
   ParallelFor(n, num_threads_, [&](size_t i) {
-    if (policy.needs_rolling_stats &&
-        (stats_provider_ == nullptr ||
-         !stats_provider_->FillRollingStats(views[i], window,
-                                            &table.stats[i]))) {
+    if (policy.needs_rolling_stats) {
       table.stats[i] = ComputeRollingStats(views[i], window);
     }
-    if (policy.needs_window_energy &&
-        (stats_provider_ == nullptr ||
-         !stats_provider_->FillWindowEnergies(views[i], window,
-                                              &table.energies[i]))) {
+    if (policy.needs_window_energy) {
       table.energies[i] = ComputeWindowEnergies(views[i], window);
     }
     if (n_sizes != 0) {

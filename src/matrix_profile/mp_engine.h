@@ -9,10 +9,12 @@
 // DistanceEngine (core/distance_engine.h) amortises the Def. 4 layer:
 //
 //  * one immutable, index-addressed ArtifactTable per batch -- per-series
-//    RollingStats or window energies, forward FFTs and every ordered
-//    pair's seed sliding-dot-products -- built in one parallel pass and
-//    read lock-free by every join of the batch. The ad-hoc entry points
-//    (SelfJoin, AbJoin) build the same table for their one or two series;
+//    RollingStats or window energies (always computed from the values by
+//    core/znorm.cc, the one source of rolling statistics), forward FFTs
+//    and every ordered pair's seed sliding-dot-products -- built in one
+//    parallel pass and read lock-free by every join of the batch. The
+//    ad-hoc entry points (SelfJoin, AbJoin) build the same table for
+//    their one or two series;
 //  * pair symmetry: one QT sweep over an unordered pair yields the row
 //    minima (the a-side profile) AND the column minima (the b-side
 //    profile), because QT values along a diagonal and the z-normalised
@@ -177,18 +179,6 @@ class MatrixProfileEngine {
       const std::vector<std::span<const double>>& views, size_t window,
       MetricId metric = MetricId::kZNormEuclidean);
 
-  /// Provider of precomputed per-series rolling statistics (core/znorm.h),
-  /// typically DatasetView::stats_provider() of a store-backed view. When
-  /// set, every stats/energy fill of a table build (batch or ad-hoc) asks
-  /// the provider first and only computes on refusal. Providers are contractually bitwise identical to
-  /// ComputeRollingStats / ComputeWindowEnergies, so results never depend
-  /// on whether a fill was served or computed. Pass nullptr to unset. The
-  /// caller keeps the provider alive for the engine's lifetime.
-  void set_stats_provider(const SeriesStatsProvider* provider) {
-    stats_provider_ = provider;
-  }
-  const SeriesStatsProvider* stats_provider() const { return stats_provider_; }
-
  private:
   /// One sweep's immutable inputs: the pair, its per-window statistics
   /// (rolling stats and/or window energies, per the metric's needs) and its
@@ -290,7 +280,6 @@ class MatrixProfileEngine {
 
   size_t num_threads_;
   size_t min_cells_per_chunk_ = size_t{1} << 16;
-  const SeriesStatsProvider* stats_provider_ = nullptr;
 };
 
 }  // namespace ips

@@ -43,7 +43,7 @@ namespace ips::serve {
 
 /// Where a model comes from: the saved run artifact plus the training
 /// split it was discovered on. `train_path` may be either a UCR text file
-/// (data/ucr_loader.h) or an `ips-store v1` columnar segment
+/// (data/ucr_loader.h) or an `ips-store` columnar segment
 /// (store/columnar_store.h) -- the registry sniffs the magic and opens the
 /// store out-of-core, so serving a model never materialises the training
 /// corpus in RAM.

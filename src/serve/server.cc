@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 
 #include <algorithm>
@@ -199,9 +200,17 @@ Frame Server::HandleClassify(const Frame& request) {
   if (req.series.empty()) {
     return logged_error(ErrorCode::kBadRequest, "empty classify batch");
   }
-  for (const std::vector<double>& s : req.series) {
+  for (size_t i = 0; i < req.series.size(); ++i) {
+    const std::vector<double>& s = req.series[i];
     if (s.empty()) {
       return logged_error(ErrorCode::kBadRequest, "empty series in batch");
+    }
+    for (size_t j = 0; j < s.size(); ++j) {
+      if (!std::isfinite(s[j])) {
+        return logged_error(ErrorCode::kBadRequest,
+                            "series " + std::to_string(i) + " value " +
+                                std::to_string(j) + " is not finite");
+      }
     }
   }
   const std::shared_ptr<const ServedModel> model = registry_->Get(req.model);

@@ -11,7 +11,6 @@
 #include <fstream>
 #include <utility>
 
-#include "core/simd.h"
 #include "obs/metrics.h"
 #include "util/check.h"
 
@@ -26,8 +25,6 @@ struct StoreMetrics {
   obs::Counter& chunk_evictions;
   obs::Counter& bytes_loaded;
   obs::Counter& bytes_evicted;
-  obs::Counter& sidecar_stats;
-  obs::Counter& sidecar_energies;
 };
 
 StoreMetrics& Metrics() {
@@ -39,9 +36,7 @@ StoreMetrics& Metrics() {
                             registry.GetCounter("store.chunk_hits"),
                             registry.GetCounter("store.chunk_evictions"),
                             registry.GetCounter("store.bytes_loaded"),
-                            registry.GetCounter("store.bytes_evicted"),
-                            registry.GetCounter("store.sidecar_stats"),
-                            registry.GetCounter("store.sidecar_energies")};
+                            registry.GetCounter("store.bytes_evicted")};
   }();
   return *m;
 }
@@ -118,8 +113,9 @@ bool ColumnarStore::Parse(std::string* error) {
     return false;
   }
   if (header.major != kStoreMajor) {
-    SetError(error, "unsupported major version " +
-                        std::to_string(header.major));
+    SetError(error, "unsupported ips-store major version " +
+                        std::to_string(header.major) + " (this reader reads " +
+                        std::to_string(kStoreMajor) + ")");
     return false;
   }
   if (header.file_bytes != mapped_bytes_) {
@@ -130,7 +126,7 @@ bool ColumnarStore::Parse(std::string* error) {
     SetError(error, "segment declares no data");
     return false;
   }
-  // A chunk record is at least its two payload-size words plus one series'
+  // A chunk record is at least its payload-size word plus one series'
   // columns; the directory costs 32 bytes per chunk. Either bound alone
   // caps num_chunks well below anything allocation-hostile.
   if (header.num_chunks > mapped_bytes_ / sizeof(ChunkDirEntry)) {
@@ -164,7 +160,7 @@ bool ColumnarStore::Parse(std::string* error) {
       SetError(error, "chunk " + std::to_string(c) + " offset mismatch");
       return false;
     }
-    if (entry.bytes < 16 || entry.bytes % 8 != 0 ||
+    if (entry.bytes % 8 != 0 ||
         entry.offset > header.directory_offset ||
         entry.bytes > header.directory_offset - entry.offset) {
       SetError(error, "chunk " + std::to_string(c) + " extent out of bounds");
@@ -184,17 +180,11 @@ bool ColumnarStore::Parse(std::string* error) {
     }
 
     const uint8_t* record = base_ + entry.offset;
-    uint64_t payload_sizes[2];
-    std::memcpy(payload_sizes, record, sizeof(payload_sizes));
-    const uint64_t values_doubles = payload_sizes[0];
-    const uint64_t sidecar_doubles = payload_sizes[1];
-    const uint64_t payload_bytes = entry.bytes - columns;
-    if (values_doubles == 0 || sidecar_doubles == 0 ||
-        values_doubles > payload_bytes / 8 ||
-        sidecar_doubles > payload_bytes / 8 ||
-        values_doubles * 8 + sidecar_doubles * 8 != payload_bytes) {
+    uint64_t values_doubles = 0;
+    std::memcpy(&values_doubles, record, sizeof(values_doubles));
+    if (values_doubles == 0 || values_doubles != (entry.bytes - columns) / 8) {
       SetError(error,
-               "chunk " + std::to_string(c) + " payload sizes inconsistent");
+               "chunk " + std::to_string(c) + " payload size inconsistent");
       return false;
     }
 
@@ -203,28 +193,20 @@ bool ColumnarStore::Parse(std::string* error) {
     chunk.bytes = entry.bytes;
     chunk.first = entry.first_series;
     chunk.count = count;
-    chunk.labels = reinterpret_cast<const int32_t*>(record + 16);
-    chunk.lengths =
-        reinterpret_cast<const uint64_t*>(record + 16 + label_pad);
+    chunk.labels = reinterpret_cast<const int32_t*>(record + 8);
+    chunk.lengths = reinterpret_cast<const uint64_t*>(record + 8 + label_pad);
     chunk.value_offsets = chunk.lengths + count;
-    chunk.sidecar_offsets = chunk.value_offsets + count;
     chunk.values = reinterpret_cast<const double*>(record + columns);
-    chunk.sidecar = chunk.values + values_doubles;
-    chunk.values_doubles = values_doubles;
-    chunk.sidecar_doubles = sidecar_doubles;
 
     // Per-series column validation: offsets ascend from zero, lengths are
-    // positive, the sidecar is exactly the 3*(n+1)+1 layout, and both
-    // payloads are covered exactly (no hidden slack to smuggle data in).
+    // positive, and the payload is covered exactly (no hidden slack to
+    // smuggle data in).
     uint64_t expect_value = 0;
-    uint64_t expect_sidecar = 0;
     for (uint64_t s = 0; s < count; ++s) {
       const uint64_t length = chunk.lengths[s];
       if (length == 0 || length > values_doubles ||
           chunk.value_offsets[s] != expect_value ||
-          chunk.sidecar_offsets[s] != expect_sidecar ||
-          length > values_doubles - expect_value ||
-          SidecarDoubles(length) > sidecar_doubles - expect_sidecar) {
+          length > values_doubles - expect_value) {
         SetError(error, "chunk " + std::to_string(c) + " series " +
                             std::to_string(s) + " columns malformed");
         return false;
@@ -235,9 +217,8 @@ bool ColumnarStore::Parse(std::string* error) {
         return false;
       }
       expect_value += length;
-      expect_sidecar += SidecarDoubles(length);
     }
-    if (expect_value != values_doubles || expect_sidecar != sidecar_doubles) {
+    if (expect_value != values_doubles) {
       SetError(error,
                "chunk " + std::to_string(c) + " payload not fully covered");
       return false;
@@ -352,101 +333,6 @@ void ColumnarStore::ForEachChunk(const ChunkFn& fn) const {
     }
     fn(chunk.first, std::span<const SeriesView>(views));
   }
-}
-
-bool ColumnarStore::LocateSeries(std::span<const double> series,
-                                 size_t* chunk_out,
-                                 size_t* index_in_chunk) const {
-  const double* data = series.data();
-  if (data == nullptr) return false;
-  const auto* bytes = reinterpret_cast<const uint8_t*>(data);
-  if (bytes < base_ || bytes >= base_ + mapped_bytes_) return false;
-
-  // Binary search the chunk whose record contains the address, then the
-  // series whose value span starts there. Only FULL series spans are
-  // servable -- a subsequence has no sidecar of its own.
-  size_t lo = 0;
-  size_t hi = chunks_.size();
-  const uint64_t file_offset = static_cast<uint64_t>(bytes - base_);
-  while (hi - lo > 1) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (chunks_[mid].offset <= file_offset) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  const ChunkMeta& chunk = chunks_[lo];
-  if (data < chunk.values || data >= chunk.values + chunk.values_doubles) {
-    return false;
-  }
-  const uint64_t value_offset = static_cast<uint64_t>(data - chunk.values);
-  const uint64_t* first = chunk.value_offsets;
-  const uint64_t* last = first + chunk.count;
-  const uint64_t* it = std::lower_bound(first, last, value_offset);
-  if (it == last || *it != value_offset) return false;
-  const size_t s = static_cast<size_t>(it - first);
-  if (chunk.lengths[s] != series.size()) return false;
-  *chunk_out = lo;
-  *index_in_chunk = s;
-  return true;
-}
-
-bool ColumnarStore::FillRollingStats(std::span<const double> series,
-                                     size_t window,
-                                     RollingStats* out) const {
-  size_t c = 0;
-  size_t s = 0;
-  if (window < 1 || series.size() < window) return false;
-  if (!LocateSeries(series, &c, &s)) return false;
-  Touch(c);
-
-  const size_t n = series.size();
-  const size_t count = n - window + 1;
-  if (window == 1) {
-    // ComputeRollingStats' w==1 special case: means are the samples,
-    // deviations exactly zero.
-    out->means.assign(series.begin(), series.end());
-    out->stds.assign(n, 0.0);
-    Metrics().sidecar_stats.Add();
-    return true;
-  }
-
-  const ChunkMeta& chunk = chunks_[c];
-  const double* sidecar = chunk.sidecar + chunk.sidecar_offsets[s];
-  const double gm = sidecar[0];
-  const double* csum = sidecar + 1;
-  const double* csq = csum + (n + 1);
-  out->means.resize(count);
-  out->stds.resize(count);
-  // Same prefix tables, same per-window kernel as ComputeRollingStats:
-  // bitwise-identical output.
-  simd::RollingMomentsFromPrefix(csum, csq, count, window, gm,
-                                 out->means.data(), out->stds.data());
-  Metrics().sidecar_stats.Add();
-  return true;
-}
-
-bool ColumnarStore::FillWindowEnergies(std::span<const double> series,
-                                       size_t window,
-                                       std::vector<double>* out) const {
-  size_t c = 0;
-  size_t s = 0;
-  if (window < 1 || series.size() < window) return false;
-  if (!LocateSeries(series, &c, &s)) return false;
-  Touch(c);
-
-  const size_t n = series.size();
-  const size_t count = n - window + 1;
-  const ChunkMeta& chunk = chunks_[c];
-  const double* sidecar = chunk.sidecar + chunk.sidecar_offsets[s];
-  const double* esq = sidecar + 1 + 2 * (n + 1);
-  out->resize(count);
-  for (size_t i = 0; i < count; ++i) {
-    (*out)[i] = esq[i + window] - esq[i];
-  }
-  Metrics().sidecar_energies.Add();
-  return true;
 }
 
 uint64_t ColumnarStore::resident_bytes() const {

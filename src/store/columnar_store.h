@@ -1,4 +1,4 @@
-// Out-of-core columnar dataset: the memory-mapped reader of `ips-store v1`
+// Out-of-core columnar dataset: the memory-mapped reader of `ips-store v2`
 // segments (store_format.h), behind the DatasetView interface.
 //
 // The segment is mapped read-only once at Open; chunk RESIDENCY (which
@@ -20,15 +20,12 @@
 //
 // Thread-safety: all public methods may be called concurrently; LRU
 // bookkeeping is mutex-guarded, payload reads are lock-free (immutable
-// mapping). The store also implements SeriesStatsProvider over its
-// write-time sidecars: FillRollingStats / FillWindowEnergies recognise
-// spans inside the mapping and reproduce the core/znorm.cc arithmetic
-// bitwise from the stored prefix tables.
+// mapping). The store serves values only: consumers derive rolling
+// statistics from them (core/znorm.cc) exactly as for an in-RAM dataset.
 //
 // Obs counters (docs/observability.md): store.opens, store.bytes_mapped,
 // store.chunk_loads, store.chunk_hits, store.chunk_evictions,
-// store.bytes_loaded, store.bytes_evicted, store.sidecar_stats,
-// store.sidecar_energies.
+// store.bytes_loaded, store.bytes_evicted.
 
 #ifndef IPS_STORE_COLUMNAR_STORE_H_
 #define IPS_STORE_COLUMNAR_STORE_H_
@@ -43,13 +40,11 @@
 #include <vector>
 
 #include "core/time_series.h"
-#include "core/znorm.h"
 #include "store/store_format.h"
 
 namespace ips::store {
 
-class ColumnarStore final : public ips::DatasetView,
-                            public ips::SeriesStatsProvider {
+class ColumnarStore final : public ips::DatasetView {
  public:
   struct Options {
     /// Chunk-residency budget in bytes. Clamped up to the largest single
@@ -76,15 +71,6 @@ class ColumnarStore final : public ips::DatasetView,
   size_t size() const override { return static_cast<size_t>(num_series_); }
   SeriesView At(size_t i) const override;
   void ForEachChunk(const ChunkFn& fn) const override;
-  const ips::SeriesStatsProvider* stats_provider() const override {
-    return this;
-  }
-
-  // ------------------------------------------------ SeriesStatsProvider
-  bool FillRollingStats(std::span<const double> series, size_t window,
-                        RollingStats* out) const override;
-  bool FillWindowEnergies(std::span<const double> series, size_t window,
-                          std::vector<double>* out) const override;
 
   // ------------------------------------------------------ introspection
   size_t num_chunks() const { return chunks_.size(); }
@@ -111,11 +97,7 @@ class ColumnarStore final : public ips::DatasetView,
     const int32_t* labels = nullptr;
     const uint64_t* lengths = nullptr;
     const uint64_t* value_offsets = nullptr;
-    const uint64_t* sidecar_offsets = nullptr;
     const double* values = nullptr;
-    const double* sidecar = nullptr;
-    uint64_t values_doubles = 0;
-    uint64_t sidecar_doubles = 0;
     bool resident = false;
     std::list<size_t>::iterator lru_pos;  // valid when resident
   };
@@ -128,11 +110,6 @@ class ColumnarStore final : public ips::DatasetView,
 
   /// Chunk index containing dataset series `i`.
   size_t ChunkOfSeries(size_t i) const;
-
-  /// Locates the chunk + series whose FULL value span is exactly
-  /// `series`, or returns false. Serves the stats provider.
-  bool LocateSeries(std::span<const double> series, size_t* chunk,
-                    size_t* index_in_chunk) const;
 
   /// Marks chunk `c` most-recently-used, loading and evicting per the
   /// budget. Called by At/ForEachChunk on every access.
@@ -160,7 +137,8 @@ class ColumnarStore final : public ips::DatasetView,
   mutable uint64_t evictions_ = 0;
 };
 
-/// True when `path` exists and begins with the `ips-store v1` magic.
+/// True when `path` exists and begins with the `ips-store` magic (any
+/// version).
 /// Cheap sniff (reads 8 bytes) for call sites that accept either a store
 /// segment or a text dataset under one flag, e.g. the serving layer's
 /// ModelSource.train_path.

@@ -1,8 +1,7 @@
-// On-disk layout of the `ips-store v1` columnar segment format.
+// On-disk layout of the `ips-store v2` columnar segment format.
 //
 // A segment is a single little-endian file holding a labelled time-series
-// dataset in fixed-budget chunks of contiguous doubles, plus per-series
-// statistics sidecars computed once at write time (docs/storage.md):
+// dataset in fixed-budget chunks of contiguous doubles (docs/storage.md):
 //
 //   [Header: 64 bytes]
 //   [Chunk record 0] [Chunk record 1] ... (8-byte aligned, back to back)
@@ -10,25 +9,15 @@
 //
 // Chunk record layout (every section 8-byte aligned):
 //   u64 values_doubles     total doubles in the chunk's value payload
-//   u64 sidecar_doubles    total doubles in the chunk's sidecar payload
 //   i32 labels[count]      (padded to 8 bytes)
 //   u64 lengths[count]
 //   u64 value_offset[count]    per-series start within values, in doubles
-//   u64 sidecar_offset[count]  per-series start within sidecar, in doubles
 //   f64 values[values_doubles]
-//   f64 sidecar[sidecar_doubles]
 //
-// Per-series sidecar (3*(n+1) + 1 doubles for a length-n series):
-//   [0]            gm    -- the series' grand mean (core/znorm.cc Mean)
-//   [1    .. n+1]  csum  -- prefix sums of the gm-centred values
-//   [n+2  .. 2n+2] csq   -- prefix sums of squared centred values
-//   [2n+3 .. 3n+3] esq   -- prefix sums of squared RAW values
-//
-// csum/csq/gm reproduce ComputeRollingStats' internal tables bitwise for
-// ANY window length (the tables are window-independent; only the O(1)
-// per-window step depends on w), and esq reproduces ComputeWindowEnergies'
-// table -- which is what lets a store-backed MatrixProfileEngine skip its
-// stats pass with bitwise-identical results.
+// The segment stores values only. Rolling statistics are derived from the
+// values by core/znorm.cc, exactly as for an in-RAM dataset. Version 1
+// segments also carried precomputed per-series prefix tables; this
+// reader refuses them by major version.
 //
 // All integers and doubles are little-endian (doubles as IEEE-754 bit
 // patterns, the serve frame protocol's convention). The reader
@@ -47,7 +36,7 @@ namespace ips::store {
 /// "IPSSTOR1" read as a little-endian u64.
 inline constexpr uint64_t kStoreMagic = 0x31524F5453535049ULL;
 
-inline constexpr uint16_t kStoreMajor = 1;
+inline constexpr uint16_t kStoreMajor = 2;
 inline constexpr uint16_t kStoreMinor = 0;
 
 /// Fixed-size segment header at file offset 0.
@@ -63,7 +52,7 @@ struct SegmentHeader {
   uint64_t chunk_target_bytes = 0;  ///< writer's value-payload budget
   uint64_t reserved1 = 0;
 };
-static_assert(sizeof(SegmentHeader) == 64, "header layout is part of v1");
+static_assert(sizeof(SegmentHeader) == 64, "header layout is fixed");
 
 /// One directory entry describing a chunk record.
 struct ChunkDirEntry {
@@ -72,19 +61,13 @@ struct ChunkDirEntry {
   uint64_t first_series = 0; ///< dataset index of the chunk's first series
   uint64_t num_series = 0;   ///< series in this chunk (>= 1)
 };
-static_assert(sizeof(ChunkDirEntry) == 32, "directory layout is part of v1");
+static_assert(sizeof(ChunkDirEntry) == 32, "directory layout is fixed");
 
-/// Doubles in the sidecar of a length-`n` series.
-inline constexpr uint64_t SidecarDoubles(uint64_t n) {
-  return 3 * (n + 1) + 1;
-}
-
-/// Bytes of the fixed per-chunk column block for `count` series: the two
-/// payload-size words plus labels (padded to 8), lengths and both offset
-/// columns.
+/// Bytes of the fixed per-chunk column block for `count` series: the
+/// payload-size word plus labels (padded to 8), lengths and offsets.
 inline constexpr uint64_t ChunkColumnBytes(uint64_t count) {
   const uint64_t labels = (count * 4 + 7) / 8 * 8;
-  return 16 + labels + 3 * 8 * count;
+  return 8 + labels + 2 * 8 * count;
 }
 
 }  // namespace ips::store

@@ -1,45 +1,9 @@
 #include "store/store_writer.h"
 
-#include <cstring>
+#include <cmath>
+#include <cstdio>
 
 namespace ips::store {
-
-void ComputeSidecar(std::span<const double> values,
-                    std::vector<double>* out) {
-  const size_t n = values.size();
-  out->clear();
-  out->reserve(SidecarDoubles(n));
-
-  // Grand mean, with Mean()'s exact accumulation order (core/znorm.cc).
-  double sum = 0.0;
-  for (double v : values) sum += v;
-  const double gm = sum / static_cast<double>(n);
-  out->push_back(gm);
-
-  // Centred prefix sums and squares: ComputeRollingStats' tables.
-  out->push_back(0.0);
-  double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double c = values[i] - gm;
-    acc += c;
-    out->push_back(acc);
-  }
-  out->push_back(0.0);
-  acc = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double c = values[i] - gm;
-    acc += c * c;
-    out->push_back(acc);
-  }
-
-  // Raw prefix squares: ComputeWindowEnergies' table.
-  out->push_back(0.0);
-  acc = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    acc += values[i] * values[i];
-    out->push_back(acc);
-  }
-}
 
 StoreWriter::StoreWriter(const std::string& path, const Options& options)
     : out_(path, std::ios::binary | std::ios::trunc), options_(options) {
@@ -79,16 +43,22 @@ bool StoreWriter::Append(std::span<const double> values, int label) {
     error_ = "label below kUnlabeledSeries";
     return false;
   }
+  for (size_t j = 0; j < values.size(); ++j) {
+    if (!std::isfinite(values[j])) {
+      char value[32];
+      std::snprintf(value, sizeof(value), "%g", values[j]);
+      ok_ = false;
+      error_ = "series " + std::to_string(num_series_) + " value " +
+               std::to_string(j) + " is not finite (" + value + ")";
+      return false;
+    }
+  }
   if (labels_.empty()) chunk_first_series_ = num_series_;
 
   labels_.push_back(static_cast<int32_t>(label));
   lengths_.push_back(values.size());
   value_offsets_.push_back(values_.size());
-  sidecar_offsets_.push_back(sidecar_.size());
   values_.insert(values_.end(), values.begin(), values.end());
-  ComputeSidecar(values, &sidecar_scratch_);
-  sidecar_.insert(sidecar_.end(), sidecar_scratch_.begin(),
-                  sidecar_scratch_.end());
   ++num_series_;
 
   if (values_.size() * sizeof(double) >= options_.chunk_target_bytes) {
@@ -105,11 +75,10 @@ bool StoreWriter::FlushChunk() {
   entry.offset = file_offset_;
   entry.first_series = chunk_first_series_;
   entry.num_series = count;
-  entry.bytes = ChunkColumnBytes(count) +
-                8 * (values_.size() + sidecar_.size());
+  entry.bytes = ChunkColumnBytes(count) + 8 * values_.size();
 
-  const uint64_t payload_sizes[2] = {values_.size(), sidecar_.size()};
-  if (!WriteRaw(payload_sizes, sizeof(payload_sizes))) return false;
+  const uint64_t values_doubles = values_.size();
+  if (!WriteRaw(&values_doubles, sizeof(values_doubles))) return false;
   if (!WriteRaw(labels_.data(), count * sizeof(int32_t))) return false;
   // Pad the label column to 8 bytes so every later section stays aligned.
   const uint64_t label_pad = (count * 4 + 7) / 8 * 8 - count * 4;
@@ -117,17 +86,13 @@ bool StoreWriter::FlushChunk() {
   if (label_pad != 0 && !WriteRaw(zeros, label_pad)) return false;
   if (!WriteRaw(lengths_.data(), count * 8)) return false;
   if (!WriteRaw(value_offsets_.data(), count * 8)) return false;
-  if (!WriteRaw(sidecar_offsets_.data(), count * 8)) return false;
   if (!WriteRaw(values_.data(), values_.size() * 8)) return false;
-  if (!WriteRaw(sidecar_.data(), sidecar_.size() * 8)) return false;
 
   directory_.push_back(entry);
   labels_.clear();
   lengths_.clear();
   value_offsets_.clear();
-  sidecar_offsets_.clear();
   values_.clear();
-  sidecar_.clear();
   return true;
 }
 

@@ -1,13 +1,11 @@
-// Streaming writer of `ips-store v1` segments (store_format.h).
+// Streaming writer of `ips-store v2` segments (store_format.h).
 //
 // Series are appended one at a time; the writer buffers at most one chunk
 // (the configured value-payload budget) in RAM, so a corpus of any size
 // can be converted with bounded memory -- the UCR importer streams files
-// through this without ever materialising a Dataset. Statistics sidecars
-// (grand mean + centred/raw prefix tables) are computed per series at
-// append time with exactly the accumulation order of ComputeRollingStats /
-// ComputeWindowEnergies (core/znorm.cc), so store-served statistics are
-// bitwise identical to runtime-computed ones.
+// through this without ever materialising a Dataset. Only finite values
+// are accepted: a NaN or infinity is refused at Append, naming the series
+// and the value position.
 
 #ifndef IPS_STORE_STORE_WRITER_H_
 #define IPS_STORE_STORE_WRITER_H_
@@ -23,11 +21,6 @@
 #include "store/store_format.h"
 
 namespace ips::store {
-
-/// Computes the write-time sidecar of one series into `out` (cleared
-/// first): gm, csum, csq, esq per store_format.h. Exposed for tests, which
-/// assert bitwise equality against the core/znorm.cc paths.
-void ComputeSidecar(std::span<const double> values, std::vector<double>* out);
 
 class StoreWriter {
  public:
@@ -49,10 +42,10 @@ class StoreWriter {
   bool ok() const { return ok_; }
   const std::string& error() const { return error_; }
 
-  /// Appends one labelled series (length >= 1, label >= -1). Flushes a
-  /// chunk record to disk whenever the buffered value payload reaches the
-  /// chunk budget. Returns false (and records an error) on I/O failure or
-  /// invalid input.
+  /// Appends one labelled series (length >= 1, label >= -1, every value
+  /// finite). Flushes a chunk record to disk whenever the buffered value
+  /// payload reaches the chunk budget. Returns false (and records an
+  /// error) on I/O failure or invalid input.
   bool Append(std::span<const double> values, int label);
 
   /// Flushes the trailing chunk, writes the directory and the final
@@ -83,10 +76,7 @@ class StoreWriter {
   std::vector<int32_t> labels_;
   std::vector<uint64_t> lengths_;
   std::vector<uint64_t> value_offsets_;
-  std::vector<uint64_t> sidecar_offsets_;
   std::vector<double> values_;
-  std::vector<double> sidecar_;
-  std::vector<double> sidecar_scratch_;
 
   std::vector<ChunkDirEntry> directory_;
 };

@@ -25,8 +25,6 @@ TEST(FromRegistryTest, MapsEveryCounterByName) {
   metrics.counters["mp.joins_computed"] = 50;
   metrics.counters["mp.qt_sweeps"] = 25;
   metrics.counters["mp.joins_halved"] = 12;
-  metrics.counters["mp.cache_hits"] = 7;
-  metrics.counters["mp.cache_misses"] = 2;
   metrics.counters["pool.regions_dispatched"] = 11;
   metrics.counters["pool.regions_inline"] = 13;
   metrics.counters["pool.tasks_run"] = 1000;
@@ -44,8 +42,6 @@ TEST(FromRegistryTest, MapsEveryCounterByName) {
   EXPECT_EQ(s.mp_joins_computed, 50u);
   EXPECT_EQ(s.mp_qt_sweeps, 25u);
   EXPECT_EQ(s.mp_joins_halved, 12u);
-  EXPECT_EQ(s.mp_cache_hits, 7u);
-  EXPECT_EQ(s.mp_cache_misses, 2u);
   EXPECT_EQ(s.pool_regions, 11u);
   EXPECT_EQ(s.pool_inline_regions, 13u);
   EXPECT_EQ(s.pool_tasks_run, 1000u);

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "data/ucr_loader.h"
 #include "ips/pipeline.h"
 #include "ips/serialization.h"
+#include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/log_rotate.h"
 #include "serve/model_registry.h"
@@ -352,6 +354,47 @@ TEST_F(LoopbackTest, ErrorFramesNotDroppedConnections) {
   const auto health = client_.Health(&error);
   ASSERT_TRUE(health.has_value()) << error;
   EXPECT_EQ(*health, 1u);
+}
+
+TEST_F(LoopbackTest, NonFiniteValueIsBadRequestBeforeAdmission) {
+  const std::string requests = "serve.demo.requests";
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(bad);
+    std::vector<std::vector<double>> batch = {data_.test.series()[0].values,
+                                              data_.test.series()[1].values};
+    batch[1][7] = bad;
+    ClassifyRequest req;
+    req.model = "demo";
+    req.series = batch;
+    Frame request;
+    request.op = FrameOp::kClassifyRequest;
+    request.payload = EncodeClassifyRequest(req);
+
+    const uint64_t admitted_before =
+        obs::MetricsRegistry::Instance().Snapshot().CounterValue(requests);
+    std::string error;
+    const auto reply = client_.RoundTrip(request, &error);
+    ASSERT_TRUE(reply.has_value()) << error;
+    ASSERT_EQ(reply->op, FrameOp::kError);
+    ErrorFrame err;
+    ASSERT_TRUE(DecodeErrorFrame(reply->payload, &err));
+    EXPECT_EQ(err.code, ErrorCode::kBadRequest);
+    EXPECT_NE(err.message.find("series 1 value 7"), std::string::npos)
+        << err.message;
+    // Not even the finite first series reached the queue.
+    EXPECT_EQ(
+        obs::MetricsRegistry::Instance().Snapshot().CounterValue(requests),
+        admitted_before);
+  }
+
+  // The connection stays open and serves the clean batch.
+  std::string error;
+  const auto response =
+      client_.Classify("demo", {data_.test.series()[1].values}, &error);
+  ASSERT_TRUE(response.has_value()) << error;
+  EXPECT_EQ(response->labels.size(), 1u);
 }
 
 TEST_F(LoopbackTest, ReloadOfUnknownModelFails) {

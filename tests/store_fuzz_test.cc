@@ -129,11 +129,18 @@ TEST(StoreFuzzTest, WrongMagicAndMajorAreRejected) {
   EXPECT_EQ(OpenBytes(bytes, "magic", &error), nullptr);
   EXPECT_NE(error.find("magic"), std::string::npos) << error;
 
+  // Major 1 is the retired layout with per-series prefix tables; the
+  // next major is unknown. Both are refused by version, and the error
+  // names it.
   header.magic = store::kStoreMagic;
-  header.major = store::kStoreMajor + 1;
-  std::memcpy(bytes.data(), &header, sizeof(header));
-  EXPECT_EQ(OpenBytes(bytes, "major", &error), nullptr);
-  EXPECT_FALSE(error.empty());
+  for (const uint16_t major : {uint16_t{1}, uint16_t{store::kStoreMajor + 1}}) {
+    header.major = major;
+    std::memcpy(bytes.data(), &header, sizeof(header));
+    EXPECT_EQ(OpenBytes(bytes, "major", &error), nullptr) << major;
+    EXPECT_NE(error.find("major version " + std::to_string(major)),
+              std::string::npos)
+        << error;
+  }
 }
 
 TEST(StoreFuzzTest, HostileCountsDoNotAllocate) {
@@ -222,23 +229,29 @@ TEST(StoreFuzzTest, CorruptedChunkColumnsAreRejected) {
   store::ChunkDirEntry first;
   std::memcpy(&first, intact.data() + header.directory_offset, sizeof(first));
 
-  // The first chunk's two payload-size words and its first length /
-  // offset entries, each set to values that cannot cover the record.
+  // The first chunk's payload-size word and its length / offset entries,
+  // each set to values that cannot cover the record. The record opens
+  // with the u64 payload size, then the 8-padded label column.
   struct Mutation {
     const char* name;
     uint64_t offset;  // within the chunk record
     uint64_t value;
   };
-  const uint64_t columns = store::ChunkColumnBytes(first.num_series);
-  const uint64_t labels_bytes = (first.num_series * 4 + 7) / 8 * 8;
+  ASSERT_GE(first.num_series, 2u);
+  const uint64_t lengths = 8 + (first.num_series * 4 + 7) / 8 * 8;
+  const uint64_t offsets = lengths + 8 * first.num_series;
+  uint64_t values_doubles = 0;
+  std::memcpy(&values_doubles, intact.data() + first.offset, 8);
   const Mutation mutations[] = {
       {"values_doubles_zero", 0, 0},
       {"values_doubles_huge", 0, uint64_t{1} << 58},
-      {"sidecar_doubles_zero", 8, 0},
-      {"sidecar_doubles_huge", 8, uint64_t{1} << 58},
-      {"length_zero", 16 + labels_bytes, 0},
-      {"length_huge", 16 + labels_bytes, uint64_t{1} << 40},
-      {"value_offset_nonzero", 16 + labels_bytes + 8 * first.num_series, 13},
+      // Times 8 this wraps to the true payload bytes.
+      {"values_doubles_wraps_to_payload", 0,
+       (uint64_t{1} << 61) + values_doubles},
+      {"last_length_huge", offsets - 8, uint64_t{1} << 58},
+      {"length_zero", lengths, 0},
+      {"length_huge", lengths, uint64_t{1} << 40},
+      {"value_offset_nonzero", offsets, 13},
   };
   for (const Mutation& m : mutations) {
     std::vector<uint8_t> bytes = intact;
@@ -258,7 +271,8 @@ TEST(StoreFuzzTest, NegativeLabelsBelowUnlabeledAreRejected) {
 
   std::vector<uint8_t> bytes = intact;
   const int32_t bad = -2;  // below kUnlabeledSeries
-  std::memcpy(bytes.data() + first.offset + 16, &bad, sizeof(bad));
+  // Labels follow the chunk record's u64 payload-size word.
+  std::memcpy(bytes.data() + first.offset + 8, &bad, sizeof(bad));
   std::string error;
   EXPECT_EQ(OpenBytes(bytes, "label", &error), nullptr);
   EXPECT_FALSE(error.empty());

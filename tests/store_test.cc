@@ -1,14 +1,15 @@
 // The out-of-core columnar store (store/columnar_store.h): write/read
-// round-trips, LRU residency accounting, sidecar-served statistics pinned
-// bitwise to the core/znorm.cc paths, and -- the tentpole contract --
-// store-backed shapelet discovery bitwise identical to the in-RAM path
-// for every registered metric at several thread counts.
+// round-trips, the writer's finite-value check, LRU residency accounting,
+// and -- the central contract -- store-backed shapelet discovery bitwise
+// identical to the in-RAM path for every registered metric at several
+// thread counts.
 
 #include "store/columnar_store.h"
 
 #include <unistd.h>
 
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "core/metric.h"
-#include "core/znorm.h"
 #include "data/generator.h"
 #include "ips/pipeline.h"
 #include "ips/serialization.h"
@@ -197,56 +197,33 @@ TEST(StoreTest, TinyBudgetClampsToLargestChunk) {
   }
 }
 
-TEST(StoreTest, SidecarStatsBitwiseEqualToZnorm) {
-  const Dataset data = MakeCorpus(10, 72);
-  const ScopedPath path(TempSegmentPath("sidecar"));
-  const auto segment = RoundTrip(data, path.path, 3);
-  ASSERT_NE(segment, nullptr);
-
-  for (size_t i = 0; i < segment->size(); ++i) {
-    const SeriesView t = segment->At(i);
-    for (const size_t window : {size_t{1}, size_t{5}, size_t{16}, t.length()}) {
-      SCOPED_TRACE("series " + std::to_string(i) + " window " +
-                   std::to_string(window));
-      RollingStats served;
-      ASSERT_TRUE(segment->FillRollingStats(t.values, window, &served));
-      const RollingStats computed = ComputeRollingStats(t.values, window);
-      ASSERT_EQ(served.means.size(), computed.means.size());
-      for (size_t j = 0; j < computed.means.size(); ++j) {
-        EXPECT_EQ(served.means[j], computed.means[j]);
-        EXPECT_EQ(served.stds[j], computed.stds[j]);
-      }
-
-      std::vector<double> energies;
-      ASSERT_TRUE(segment->FillWindowEnergies(t.values, window, &energies));
-      const std::vector<double> expected =
-          ComputeWindowEnergies(t.values, window);
-      ASSERT_EQ(energies.size(), expected.size());
-      for (size_t j = 0; j < expected.size(); ++j) {
-        EXPECT_EQ(energies[j], expected[j]);
-      }
-    }
+TEST(StoreTest, WriterRefusesNonFiniteValuesNamingSeriesAndPosition) {
+  const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  for (const double bad : bad_values) {
+    SCOPED_TRACE(bad);
+    const ScopedPath path(TempSegmentPath("nonfinite"));
+    store::StoreWriter writer(path.path);
+    ASSERT_TRUE(writer.ok()) << writer.error();
+    ASSERT_TRUE(writer.Append(std::vector<double>{1.0, 2.0, 3.0}, 0));
+    ASSERT_TRUE(writer.Append(std::vector<double>{4.0, 5.0, 6.0}, 1));
+    EXPECT_FALSE(writer.Append(std::vector<double>{7.0, 8.0, bad, 9.0}, 0));
+    EXPECT_FALSE(writer.ok());
+    EXPECT_NE(writer.error().find("series 2 value 2"), std::string::npos)
+        << writer.error();
+    EXPECT_FALSE(writer.Finish());
   }
-}
 
-TEST(StoreTest, StatsProviderRejectsForeignSpansAndBadWindows) {
-  const Dataset data = MakeCorpus(6, 48);
-  const ScopedPath path(TempSegmentPath("foreign"));
-  const auto segment = RoundTrip(data, path.path, 2);
-  ASSERT_NE(segment, nullptr);
-
-  RollingStats out;
-  const SeriesView t = segment->At(0);
-  // Windows the sidecar cannot serve.
-  EXPECT_FALSE(segment->FillRollingStats(t.values, 0, &out));
-  EXPECT_FALSE(segment->FillRollingStats(t.values, t.length() + 1, &out));
-  // A span that lives outside the mapping entirely.
-  const std::vector<double> foreign(32, 1.0);
-  EXPECT_FALSE(segment->FillRollingStats(foreign, 4, &out));
-  // A proper subspan of a stored series is not the full series: the
-  // provider must decline rather than serve the wrong prefix table.
-  EXPECT_FALSE(
-      segment->FillRollingStats(t.values.subspan(1, t.length() - 2), 4, &out));
+  // The dataset entry point reports the same error.
+  Dataset data;
+  data.Add(TimeSeries(std::vector<double>{1.0, 2.0}, 0));
+  data.Add(TimeSeries(
+      std::vector<double>{std::numeric_limits<double>::quiet_NaN(), 2.0}, 1));
+  const ScopedPath path(TempSegmentPath("nonfinite_dataset"));
+  std::string error;
+  EXPECT_FALSE(store::WriteDatasetToStore(data, path.path, {}, &error));
+  EXPECT_NE(error.find("series 1 value 0"), std::string::npos) << error;
 }
 
 TEST(StoreTest, LooksLikeStoreSegmentSniffsMagic) {
