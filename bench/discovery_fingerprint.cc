@@ -1,11 +1,10 @@
 // Prints a deterministic fingerprint of a discovery run: every shapelet's
 // provenance and exact values (max_digits10, so bitwise differences show).
 //
-// CI builds the library twice -- default and -DIPS_DISABLE_TRACING=ON --
-// runs this binary from both builds, and diffs the outputs. A clean diff
-// proves the tracing layer only observes: compiling the spans out changes
-// no discovery output. Run it on several synthetic datasets and thread
-// counts so both the serial and pooled paths are covered.
+// CI diffs its output across builds (SIMD vs scalar kernels) and flags
+// (cascade vs dense, RAM vs store) -- every pair must be byte-identical.
+// It runs on several synthetic datasets and thread counts so both the
+// serial and pooled paths are covered.
 //
 // Usage: discovery_fingerprint [--datasets=a,b,c] [--metric=NAME]
 //                              [--no_early_abandon] [--store_budget=BYTES]

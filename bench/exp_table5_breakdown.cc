@@ -45,11 +45,6 @@ int Run(const BenchArgs& args) {
   std::printf(
       "Table V: per-stage time (s) -- candidate generation, pruning "
       "+/-DABF, top-k +/-DT&CR\n\n");
-  if (!obs::kTracingEnabled) {
-    std::printf(
-        "note: built with IPS_DISABLE_TRACING -- stage times read 0; "
-        "counters remain live.\n\n");
-  }
 
   TablePrinter table;
   table.SetHeader({"Dataset", "CandidateGen", "Prune w/o DABF",
@@ -159,7 +154,7 @@ int Run(const BenchArgs& args) {
     entry.Set("report", obs::ReportToJson(trace, metrics));
     dataset_reports.Append(std::move(entry));
 
-    if (obs::kTracingEnabled && wall_s > 0.0) {
+    if (wall_s > 0.0) {
       const double rel = std::fabs(staged_s - wall_s) / wall_s;
       if (rel > 0.05) {
         wall_check_failed = true;
@@ -220,14 +215,11 @@ int Run(const BenchArgs& args) {
       "chunk steals\n",
       stats.pool_regions, stats.pool_inline_regions, stats.pool_tasks_run,
       stats.pool_steals);
-  if (obs::kTracingEnabled) {
-    std::printf("\nSpan tree (whole run):\n%s",
-                obs::FormatTraceTree(run_trace).c_str());
-  }
+  std::printf("\nSpan tree (whole run):\n%s",
+              obs::FormatTraceTree(run_trace).c_str());
 
   obs::JsonValue doc = obs::JsonValue::Object();
   doc.Set("experiment", "table5_breakdown");
-  doc.Set("tracing_enabled", obs::kTracingEnabled);
   doc.Set("datasets", std::move(dataset_reports));
   doc.Set("run_report", obs::ReportToJson(run_trace, run_metrics));
   const std::string json_path =

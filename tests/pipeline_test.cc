@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "data/generator.h"
-#include "obs/trace.h"
 
 namespace ips {
 namespace {
@@ -46,20 +45,12 @@ TEST(DiscoverShapeletsTest, StatsArePopulated) {
   EXPECT_GT(stats.discords_generated, 0u);
   EXPECT_GE(stats.motifs_generated, stats.motifs_after_prune);
   EXPECT_GE(stats.candidate_gen_seconds, 0.0);
-  if (obs::kTracingEnabled) {
-    EXPECT_GT(stats.TotalDiscoverySeconds(), 0.0);
-  } else {
-    EXPECT_EQ(stats.TotalDiscoverySeconds(), 0.0);
-  }
+  EXPECT_GT(stats.TotalDiscoverySeconds(), 0.0);
 }
 
 TEST(DiscoverShapeletsTest, TraceCoversEveryStage) {
   const TrainTestSplit data = MakeData("pipe2b");
   const RunResult result = DiscoverShapelets(data.train, FastOptions());
-  if (!obs::kTracingEnabled) {
-    EXPECT_TRUE(result.trace.empty());
-    return;
-  }
   // Bare discovery roots at "discover"; classifier-only stages are absent.
   EXPECT_NE(result.trace.Find("discover"), nullptr);
   EXPECT_EQ(result.trace.LeafCount("candidate_gen"), 1u);
@@ -145,15 +136,12 @@ TEST(IpsClassifierTest, ShapeletsAccessibleAfterFit) {
   clf.Fit(data.train);
   EXPECT_FALSE(clf.shapelets().empty());
   EXPECT_EQ(&clf.shapelets(), &clf.result().shapelets);
-  if (obs::kTracingEnabled) {
-    EXPECT_GT(clf.result().stats.TotalDiscoverySeconds(), 0.0);
-    // Fit's window covers the classifier-only stages too, nested under
-    // "fit".
-    EXPECT_NE(clf.result().trace.Find("fit"), nullptr);
-    EXPECT_NE(clf.result().trace.Find("fit/discover"), nullptr);
-    EXPECT_EQ(clf.result().trace.LeafCount("transform"), 1u);
-    EXPECT_EQ(clf.result().trace.LeafCount("backend_fit"), 1u);
-  }
+  EXPECT_GT(clf.result().stats.TotalDiscoverySeconds(), 0.0);
+  // Fit's window covers the classifier-only stages too, nested under "fit".
+  EXPECT_NE(clf.result().trace.Find("fit"), nullptr);
+  EXPECT_NE(clf.result().trace.Find("fit/discover"), nullptr);
+  EXPECT_EQ(clf.result().trace.LeafCount("transform"), 1u);
+  EXPECT_EQ(clf.result().trace.LeafCount("backend_fit"), 1u);
 }
 
 TEST(IpsClassifierTest, PredictBatchMatchesPredictLoopAtEveryThreadCount) {
