@@ -18,9 +18,10 @@
 //
 // Fixture generation (used by CI and the bench soak):
 //   ips_serve --make_fixture=DIR
-// Writes DIR/train.tsv, DIR/test.tsv, DIR/model.ipsrun and a deliberately
-// different DIR/model_alt.ipsrun (same train split, different discovery
-// parameters) so reload tests can swap between two real artifacts.
+// Creates DIR (and any missing parents), then writes DIR/train.tsv,
+// DIR/test.tsv, DIR/model.ipsrun and a deliberately different
+// DIR/model_alt.ipsrun (same train split, different discovery parameters)
+// so reload tests can swap between two real artifacts.
 
 #include <charconv>
 #include <csignal>
@@ -28,6 +29,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include <filesystem>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -106,6 +108,13 @@ int MakeFixture(const std::string& dir) {
   spec.length = 96;
   const ips::TrainTestSplit data = ips::GenerateDataset(spec);
 
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    std::cerr << "error: cannot create fixture directory " << dir << ": "
+              << ec.message() << "\n";
+    return 1;
+  }
   if (!ips::SaveUcrFile(data.train, dir + "/train.tsv") ||
       !ips::SaveUcrFile(data.test, dir + "/test.tsv")) {
     std::cerr << "error: cannot write fixture splits under " << dir << "\n";

@@ -74,6 +74,10 @@ size_t DefaultWorkerCount() {
 // out slot ids; `done` counts executed indices with release semantics so
 // the caller's final acquire load sees every fn write; `exited` lets the
 // caller wait until no worker still touches this object before returning.
+// `span` is the caller's pool_region span: workers adopt it as their
+// parent, so spans they open nest under the stage that dispatched the
+// region. It is set before the region is published and outlives every
+// worker's use, because Run() waits on `exited` before closing it.
 struct ThreadPool::Region {
   RegionFn fn = nullptr;
   void* ctx = nullptr;
@@ -85,6 +89,7 @@ struct ThreadPool::Region {
   size_t joined = 1;  // slot 0 is the caller; guarded by the pool mutex
   std::atomic<size_t> done{0};
   std::atomic<size_t> exited{0};
+  obs::Span* span = nullptr;
 };
 
 ThreadPool& ThreadPool::Instance() {
@@ -162,6 +167,8 @@ void ThreadPool::Run(size_t count, size_t max_workers, RegionFn fn,
     region.cursor[s].store(region.bounds[s], std::memory_order_relaxed);
   }
 
+  obs::Span span("pool_region");
+  region.span = &span;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_) {
@@ -176,7 +183,6 @@ void ThreadPool::Run(size_t count, size_t max_workers, RegionFn fn,
   cv_.notify_all();
   Metrics().regions_dispatched.Add(1);
   Metrics().region_items.Observe(count);
-  IPS_SPAN("pool_region");
 
   Participate(region, 0);
 
@@ -219,7 +225,10 @@ void ThreadPool::WorkerLoop() {
       continue;
     }
     lock.unlock();
-    Participate(*region, slot);
+    {
+      const obs::AdoptedParentSpan adopted(region->span);
+      Participate(*region, slot);
+    }
     // Release: the caller's acquire load on `exited` must see this worker
     // fully out of the region before the Region object is destroyed.
     region->exited.fetch_add(1, std::memory_order_release);

@@ -1,5 +1,5 @@
-// Wall-clock timing utilities used by the benchmark harness and the
-// instrumented IPS pipeline (Table V breakdown).
+// Monotonic wall-clock stopwatch for benchmarks, tests and tools. Pipeline
+// stage time comes from obs/trace.h spans, not from here.
 
 #ifndef IPS_UTIL_TIMER_H_
 #define IPS_UTIL_TIMER_H_
@@ -27,37 +27,6 @@ class Timer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates elapsed time across multiple timed sections; used to attribute
-/// pipeline time to stages (candidate generation / pruning / selection).
-class StageTimer {
- public:
-  /// Adds `seconds` to the accumulated total.
-  void Add(double seconds) { total_ += seconds; }
-
-  /// Runs `fn` and adds its wall-clock duration to the total. Returns fn().
-  template <typename Fn>
-  auto Time(Fn&& fn) {
-    Timer t;
-    if constexpr (std::is_void_v<decltype(fn())>) {
-      fn();
-      total_ += t.ElapsedSeconds();
-    } else {
-      auto result = fn();
-      total_ += t.ElapsedSeconds();
-      return result;
-    }
-  }
-
-  /// Accumulated seconds.
-  double total_seconds() const { return total_; }
-
-  /// Clears the accumulated total.
-  void Reset() { total_ = 0.0; }
-
- private:
-  double total_ = 0.0;
 };
 
 }  // namespace ips

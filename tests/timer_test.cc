@@ -32,28 +32,5 @@ TEST(TimerTest, MillisMatchSeconds) {
   EXPECT_NEAR(millis, seconds * 1e3, 2.0);
 }
 
-TEST(StageTimerTest, AccumulatesAcrossSections) {
-  StageTimer stage;
-  stage.Add(0.5);
-  stage.Add(0.25);
-  EXPECT_DOUBLE_EQ(stage.total_seconds(), 0.75);
-  stage.Reset();
-  EXPECT_DOUBLE_EQ(stage.total_seconds(), 0.0);
-}
-
-TEST(StageTimerTest, TimeRunsTheCallableAndReturnsItsValue) {
-  StageTimer stage;
-  const int result = stage.Time([] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(3));
-    return 42;
-  });
-  EXPECT_EQ(result, 42);
-  EXPECT_GT(stage.total_seconds(), 0.002);
-
-  bool ran = false;
-  stage.Time([&] { ran = true; });  // void callable
-  EXPECT_TRUE(ran);
-}
-
 }  // namespace
 }  // namespace ips
